@@ -8,7 +8,7 @@ oracle, property-verification suites, and a CLI front end.
 from .bracket import (CLOSED_FORM, CURVE_CSV_COLUMNS, EXACT, GRID, MULTISTART,
                       Bracket, ModulusCurve)
 from .beta import beta_global, beta_point, beta_sup, is_euclidean
-from .config import DEFAULT_BUDGET, DEFAULT_TOLERANCES, Budget, Tolerances
+from .config import DEFAULT_BUDGET, Budget
 from .denting import (d_global, d_point, d_star, d_star_global, d_star_zero,
                       d_star_zero_global, modulus_convexity, s_point, s_star)
 from .errors import (BallConstructionError, BallModuliError, BudgetError,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Bracket", "ModulusCurve", "GRID", "MULTISTART", "CLOSED_FORM", "EXACT",
     "CURVE_CSV_COLUMNS",
-    "Budget", "Tolerances", "DEFAULT_BUDGET", "DEFAULT_TOLERANCES",
+    "Budget", "DEFAULT_BUDGET",
     "BallModuliError", "DimensionMismatchError", "DomainError",
     "DescriptorError", "BudgetError", "BallConstructionError",
     "SpaceDescriptor", "Point", "norm", "dual_norm", "pairing",

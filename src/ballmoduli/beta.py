@@ -119,10 +119,16 @@ def beta_sup(space: SpaceDescriptor, f, t: float,
         raise DomainError("f must be a unit functional")
     if is_euclidean(space):
         return _beta_sup_euclidean(t, budget)
+    return _beta_sup_grid(space, W, fa, t, budget)
+
+
+def _beta_sup_grid(space: SpaceDescriptor, W: SpaceDescriptor, fa: np.ndarray,
+                   t: float, budget: Budget) -> Bracket:
+    """beta_sup's certified search: a primal-sphere covering plus the duality
+    preimage of f, against the candidate surfaces of W = polar(space)."""
     res_x = _resolution(budget, 2e-3, 0.08, space.dim)
     res_g = _resolution(budget, 1.5e-3, 0.06, W.dim)
     xgrid = sphere_grid(space, res_x)
-    h_x = xgrid.covering
     X = np.vstack([xgrid.points, duality_preimage(space, fa).array[None, :]])
     feas, relax, h_g = _candidate_surfaces(W, fa, t, res_g)
     lower = -math.inf
@@ -134,7 +140,7 @@ def beta_sup(space: SpaceDescriptor, f, t: float,
         lo_pt = 1.0 - np.max(relax @ blk.T, axis=0) - h_g
         lower = max(lower, float(np.max(lo_pt)))
         upper = max(upper, float(np.max(up_pt)))
-    upper += h_x
+    upper += xgrid.covering
     lower = max(lower, 0.0)
     return Bracket(lower=lower, upper=max(upper, lower), method=GRID,
                    resolution=res_x, lipschitz=1.0, seed=budget.seed)
@@ -144,19 +150,7 @@ def _beta_sup_euclidean(t: float, budget: Budget) -> Bracket:
     """In a Euclidean space every unit f is equivalent under isometry and the
     optimal x lies in a plane through f; compute on the 2-D model."""
     plane = lp_space(2, 2.0)
-    f2 = np.array([1.0, 0.0])
-    res_x = _resolution(budget, 2e-3, 2e-3, 2)
-    res_g = _resolution(budget, 1.5e-3, 1.5e-3, 2)
-    xgrid = sphere_grid(plane, res_x)
-    h_x = xgrid.covering
-    X = np.vstack([xgrid.points, f2[None, :]])
-    feas, relax, h_g = _candidate_surfaces(plane, f2, t, res_g)
-    up = 1.0 - np.max(feas @ X.T, axis=0)
-    lo = 1.0 - np.max(relax @ X.T, axis=0) - h_g
-    lower = max(float(np.max(lo)), 0.0)
-    upper = max(float(np.max(up)) + h_x, lower)
-    return Bracket(lower=lower, upper=upper, method=GRID, resolution=res_x,
-                   lipschitz=1.0, seed=budget.seed)
+    return _beta_sup_grid(plane, plane, np.array([1.0, 0.0]), t, budget)
 
 
 def beta_global(space: SpaceDescriptor, t_grid,

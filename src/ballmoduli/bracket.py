@@ -46,9 +46,6 @@ class Bracket:
     def overlaps(self, other: "Bracket", slack: float = 0.0) -> bool:
         return self.lower <= other.upper + slack and other.lower <= self.upper + slack
 
-    def shift(self, delta: float) -> "Bracket":
-        return replace(self, lower=self.lower + delta, upper=self.upper + delta)
-
     def hull(self, other: "Bracket") -> "Bracket":
         return replace(self, lower=min(self.lower, other.lower),
                        upper=max(self.upper, other.upper))

@@ -1,17 +1,8 @@
-"""Centralized tolerances and evaluation budgets."""
+"""Evaluation budgets."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    feasibility: float = 1e-9
-    reporting: float = 1e-6
-
-
-DEFAULT_TOLERANCES = Tolerances()
 
 
 @dataclass(frozen=True)

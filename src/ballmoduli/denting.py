@@ -10,7 +10,7 @@ Bracket is rigorous under those constants.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -87,99 +87,81 @@ def modulus_convexity(space: SpaceDescriptor, t: float,
 # -- kernel scans for the s-modulus ----------------------------------------
 
 
-def _kernel_extent(space: SpaceDescriptor, t: float) -> float:
-    eq = sharp_equiv_constants(space)
-    return (2.0 + t / 4.0) / eq.c * 1.05
+def _kernel_mins(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray,
+                 t: float, res: float, max_evals: int,
+                 r_tight: Optional[float] = None):
+    """Certified minima of ||x+y|| - 1 over y in ker f with ||y|| >= r, one per
+    row of xs and F (both (n, dim)), returned as (lower, upper) arrays.
 
+    The lower minimum is certified for r = t/4.  Each kernel has a
+    Euclid-orthonormal basis of k = dim - 1 rows (f rotated by 90 degrees in
+    the plane, ``kernel_frame`` in 3-D), searched on the coefficient grid
+    [-R, R]^k of step <= res/C (C, c the sharp equivalence constants,
+    R = 1.05 (2 + t/4) / c).  The search is truncated at ||y|| <= 2 + t/4:
+    the value at the exactly-feasible shell ||y|| = t/4 is at most t/4,
+    while ||x+y|| - 1 >= ||y|| - 2 exceeds t/4 beyond that radius.  Every
+    truncated-region y lies within slack = C step sqrt(k)/2 of a grid point,
+    and both ||x+y|| and ||y|| are 1-Lipschitz in y, so the minimum over grid
+    points with t/4 - slack <= ||y|| <= 2 + t/4 + slack and over the ring of
+    exactly-feasible points ||y|| = t/4 (at +-basis in the plane, at 720
+    angles of the basis circle in 3-D), minus slack, is a lower bound.
 
-def _scan_1d(space: SpaceDescriptor, xs: np.ndarray, dirs: np.ndarray,
-             t: float, res: float, max_evals: int):
-    """Line scans y = c * dir through each kernel direction (dim 2 kernels).
-
-    xs: (n, d) base points, dirs: (n, d) Euclidean-unit kernel directions.
-    Returns per-row arrays (w, vals, c_grid, slack): feasibility radii,
-    objective values ||x+y||-1, and the certified evaluation slack.
+    The upper minimum, computed only when ``r_tight`` is given (else None),
+    is the least value at feasible points of the tightened problem
+    ||y|| >= r_tight truncated at 2 + t/4: grid points with
+    r_tight <= ||y|| <= 2 + t/4 and the ring at radius min(r_tight, 2 + t/4).
     """
     eq = sharp_equiv_constants(space)
-    R = _kernel_extent(space, t)
-    dc = max(res / eq.C, 1e-9)
-    n_c = int(math.ceil(2.0 * R / dc)) + 1
-    if len(xs) * n_c > max_evals:
-        raise BudgetError(f"kernel scan of {len(xs) * n_c} evaluations exceeds the budget")
+    r0, hi = t / 4.0, 2.0 + t / 4.0
+    R = hi / eq.c * 1.05
+    n_c = int(math.ceil(2.0 * R / max(res / eq.C, 1e-9))) + 1
     c = np.linspace(-R, R, n_c)
-    Y = c[None, :, None] * dirs[:, None, :]
-    w = _norm_array(space, Y)
-    vals = _norm_array(space, xs[:, None, :] + Y) - 1.0
-    slack = eq.C * (c[1] - c[0]) * 0.5
-    return w, vals, slack
-
-
-def _boundary_vals_1d(space: SpaceDescriptor, xs: np.ndarray, dirs: np.ndarray,
-                      radii) -> np.ndarray:
-    """Objective at the exactly-feasible points ||y|| = radius on each line."""
-    wd = _norm_array(space, dirs)
-    r = np.broadcast_to(np.asarray(radii, dtype=float), (len(xs),))
-    cb = (r / wd)[:, None, None] * np.array([1.0, -1.0])[None, :, None]
-    Y = cb * dirs[:, None, :]
-    return _norm_array(space, xs[:, None, :] + Y) - 1.0  # (n, 2)
-
-
-def _kernel_inf_bracket(space: SpaceDescriptor, x: np.ndarray, B: np.ndarray,
-                        t: float, res: float, max_evals: int) -> tuple[float, float]:
-    """Certified (lower, upper) for inf{||x+y||-1 : y in ker f, ||y|| >= t/4}."""
-    r0 = t / 4.0
-    hi = 2.0 + t / 4.0
-    if B.shape[0] == 1:
-        w, vals, slack = _scan_1d(space, x[None, :], B, t, res, max_evals)
-        w, vals = w[0], vals[0]
-        bvals = _boundary_vals_1d(space, x[None, :], B, r0)[0]
-    elif B.shape[0] == 2:
-        w, vals, slack = _scan_2d(space, x, B, t, res, max_evals)
-        bvals = _ring_vals(space, x, B, r0)
+    if space.dim == 2:
+        V = np.stack([-F[:, 1], F[:, 0]], axis=-1)
+        bases = (V / np.linalg.norm(V, axis=-1, keepdims=True))[:, None, :]
+        grid = c[:, None]
+        ring = np.array([[1.0], [-1.0]])
+    elif space.dim == 3:
+        bases = np.stack([kernel_frame(space, f) for f in F])
+        grid = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
+        th = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+        ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
     else:
         raise DomainError("certified kernel scans are limited to dimension <= 3")
-    feas = (w >= r0)
-    relax = (w >= r0 - slack) & (w <= hi + slack)
-    upper = float(np.min(vals[feas], initial=np.inf))
-    upper = min(upper, float(np.min(bvals)))
-    lower = float(np.min(vals[relax], initial=np.inf))
-    lower = min(lower, float(np.min(bvals))) - slack
-    return lower, max(upper, lower), slack
+    slack = eq.C * (c[1] - c[0]) * math.sqrt(grid.shape[1]) / 2.0
+    # chunks of at most 256 * n_c grid points (256 functionals in the plane)
+    # bound peak memory
+    chunk = max(1, 256 * n_c // len(grid))
+    lower = np.empty(len(F))
+    upper = np.empty(len(F)) if r_tight is not None else None
+    for i in range(0, len(F), chunk):
+        B, x = bases[i:i + chunk], xs[i:i + chunk, None, :]
+        if len(B) * len(grid) > max_evals:
+            raise BudgetError(
+                f"kernel scan of {len(B) * len(grid)} evaluations exceeds the budget")
+        Y = grid @ B
+        w = _norm_array(space, Y)
+        vals = _norm_array(space, x + Y) - 1.0
+        U = ring @ B
+        w_U = _norm_array(space, U)
 
+        def ring_min(radius: float) -> np.ndarray:
+            Yb = (radius / w_U)[..., None] * U
+            return np.min(_norm_array(space, x + Yb), axis=1) - 1.0
 
-def _scan_2d(space: SpaceDescriptor, x: np.ndarray, B: np.ndarray,
-             t: float, res: float, max_evals: int):
-    eq = sharp_equiv_constants(space)
-    R = _kernel_extent(space, t)
-    dc = max(res / eq.C, 1e-9)
-    n_c = int(math.ceil(2.0 * R / dc)) + 1
-    if n_c * n_c > max_evals:
-        raise BudgetError(f"planar kernel scan of {n_c}^2 evaluations exceeds the budget")
-    c = np.linspace(-R, R, n_c)
-    C1, C2 = np.meshgrid(c, c, indexing="ij")
-    Y = C1[..., None] * B[0] + C2[..., None] * B[1]
-    w = _norm_array(space, Y).ravel()
-    vals = (_norm_array(space, x + Y) - 1.0).ravel()
-    slack = eq.C * (c[1] - c[0]) / math.sqrt(2.0)
-    return w, vals, slack
-
-
-def _ring_vals(space: SpaceDescriptor, x: np.ndarray, B: np.ndarray,
-               radius: float, m: int = 720) -> np.ndarray:
-    th = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-    U = np.cos(th)[:, None] * B[0] + np.sin(th)[:, None] * B[1]
-    cb = radius / _norm_array(space, U)
-    return _norm_array(space, x + cb[:, None] * U) - 1.0
+        relax = np.where((w >= r0 - slack) & (w <= hi + slack), vals, np.inf)
+        lower[i:i + chunk] = np.minimum(np.min(relax, axis=1), ring_min(r0)) - slack
+        if upper is not None:
+            tight = np.where((w >= r_tight) & (w <= hi), vals, np.inf)
+            upper[i:i + chunk] = np.minimum(np.min(tight, axis=1),
+                                            ring_min(min(r_tight, hi)))
+    return lower, upper
 
 
 def s_point(space: SpaceDescriptor, x, f, t: float,
             budget: Optional[Budget] = None) -> Bracket:
-    """Certified bracket for s(x, f, t) = inf{||x+y||-1 : y in ker f, ||y|| >= t/4}.
-
-    The search region is rigorously truncated to ||y|| <= 2 + t/4: the value
-    at the exactly-feasible shell ||y|| = t/4 is at most t/4, while
-    ||x+y||-1 >= ||y||-2 exceeds t/4 beyond the truncation radius.
-    """
+    """Certified bracket for s(x, f, t) = inf{||x+y||-1 : y in ker f, ||y|| >= t/4}
+    (see ``_kernel_mins`` for the certificate)."""
     if not (0.0 < t < 2.0):
         raise DomainError(f"s modulus needs 0 < t < 2, got {t}")
     budget = resolve(budget)
@@ -187,26 +169,15 @@ def s_point(space: SpaceDescriptor, x, f, t: float,
     _require_unit(float(_norm_array(space, xa)), "x")
     _require_unit(float(_dual_norm_array(space, fa)), "f")
     res = _resolution(budget, 1e-3, 0.03, space.dim)
-    B = kernel_frame(space, Point.of(space, fa, side="dual")).matrix
-    lower, upper, slack = _kernel_inf_bracket(space, xa, B, t, res, budget.max_evals)
-    return Bracket(lower=lower, upper=upper, method=GRID, resolution=res,
-                   lipschitz=sharp_equiv_constants(space).C, seed=budget.seed)
+    lo, up = _kernel_mins(space, xa[None, :], fa[None, :], t, res,
+                          budget.max_evals, r_tight=t / 4.0)
+    lower = float(lo[0])
+    return Bracket(lower=lower, upper=max(float(up[0]), lower), method=GRID,
+                   resolution=res, lipschitz=sharp_equiv_constants(space).C,
+                   seed=budget.seed)
 
 
 # -- sup over the dual sphere: d(x, t) --------------------------------------
-
-
-def _rot90(F: np.ndarray) -> np.ndarray:
-    """Euclidean-unit kernel directions of 2-D functionals (rows)."""
-    V = np.stack([-F[:, 1], F[:, 0]], axis=-1)
-    return V / np.linalg.norm(V, axis=-1, keepdims=True)
-
-
-def _f_samples_2d(space: SpaceDescriptor, x: np.ndarray, res_f: float):
-    grid = sphere_grid(space, res_f, dual=True)
-    extra = [support_functional(space, x / float(_norm_array(space, x))).array]
-    F = np.vstack([grid.points, np.array(extra)])
-    return F, grid.covering
 
 
 def d_point(space: SpaceDescriptor, x, t: float,
@@ -224,61 +195,28 @@ def d_point(space: SpaceDescriptor, x, t: float,
     budget = resolve(budget)
     xa = _vec(x)
     _require_unit(float(_norm_array(space, xa)), "x")
-    if space.dim == 2:
-        res_f, res_i = _resolution(budget, 4e-3, 0.0, 2), _resolution(budget, 1.5e-3, 0.0, 2)
-    else:
-        res_f, res_i = _resolution(budget, 0.0, 0.25, 3), _resolution(budget, 0.0, 0.06, 3)
+    res_f = _resolution(budget, 4e-3, 0.25, space.dim)
+    res_i = _resolution(budget, 1.5e-3, 0.06, space.dim)
     lower, upper = _d_point_bounds(space, xa, t, res_f, res_i, budget.max_evals)
     return Bracket(lower=lower, upper=upper, method=GRID, resolution=res_f,
                    lipschitz=2.0 + t / 4.0, seed=budget.seed)
 
 
+def _norming_functional(space: SpaceDescriptor, xa: np.ndarray) -> np.ndarray:
+    return support_functional(space, xa / float(_norm_array(space, xa))).array
+
+
 def _d_point_bounds(space: SpaceDescriptor, xa: np.ndarray, t: float,
                     res_f: float, res_i: float, max_evals: int) -> tuple[float, float]:
-    r0, hi, R_t = t / 4.0, 2.0 + t / 4.0, 2.0 + t / 4.0
-    if space.dim == 2:
-        F, h_f = _f_samples_2d(space, xa, res_f)
-        dirs = _rot90(F)
-        lower = -math.inf
-        upper = -math.inf
-        r_tight = r0 + h_f * R_t
-        chunk = 256
-        for i in range(0, len(F), chunk):
-            d_blk = dirs[i:i + chunk]
-            xs = np.broadcast_to(xa, (len(d_blk), 2))
-            w, vals, slack = _scan_1d(space, xs, d_blk, t, res_i, max_evals)
-            b0 = _boundary_vals_1d(space, xs, d_blk, r0)
-            bt = _boundary_vals_1d(space, xs, d_blk, min(r_tight, hi))
-            tight = np.where((w >= r_tight) & (w <= hi), vals, np.inf)
-            m_tight = np.minimum(np.min(tight, axis=1), np.min(bt, axis=1))
-            relax = np.where((w >= r0 - slack) & (w <= hi + slack), vals, np.inf)
-            m_relax = np.minimum(np.min(relax, axis=1), np.min(b0, axis=1)) - slack
-            upper = max(upper, float(np.max(m_tight)))
-            lower = max(lower, float(np.max(m_relax)))
-        upper += h_f * R_t
-    else:
-        grid = sphere_grid(space, res_f, dual=True)
-        h_f = grid.covering
-        extras = [support_functional(space, xa / float(_norm_array(space, xa))).array]
-        F = np.vstack([grid.points, np.array(extras)])
-        r_tight = r0 + h_f * R_t
-        lower = -math.inf
-        upper = -math.inf
-        for fa in F:
-            B = kernel_frame(space, Point.of(space, fa, side="dual")).matrix
-            w, vals, slack = _scan_2d(space, xa, B, t, res_i, max_evals)
-            b0 = _ring_vals(space, xa, B, r0)
-            bt = _ring_vals(space, xa, B, min(r_tight, hi))
-            tight = np.where((w >= r_tight) & (w <= hi), vals, np.inf)
-            m_tight = min(float(np.min(tight)), float(np.min(bt)))
-            relax = np.where((w >= r0 - slack) & (w <= hi + slack), vals, np.inf)
-            m_relax = min(float(np.min(relax)), float(np.min(b0))) - slack
-            upper = max(upper, m_tight)
-            lower = max(lower, m_relax)
-        upper += h_f * R_t
+    grid = sphere_grid(space, res_f, dual=True)
+    F = np.vstack([grid.points, _norming_functional(space, xa)])
+    R_t = 2.0 + t / 4.0
+    lo, up = _kernel_mins(space, np.broadcast_to(xa, F.shape), F, t, res_i,
+                          max_evals, r_tight=t / 4.0 + grid.covering * R_t)
     # d(x, t) >= 0 always: the duality map of x is nonempty and s(x, f, t) >= 0
     # for any norming f
-    lower = max(lower, 0.0)
+    lower = max(float(np.max(lo)), 0.0)
+    upper = float(np.max(up)) + grid.covering * R_t
     return lower, max(upper, lower)
 
 
@@ -287,26 +225,11 @@ def _d_lower_cheap(space: SpaceDescriptor, xa: np.ndarray, t: float,
                    seed: int = 0) -> float:
     """Rigorous lower bound for d(x, t) from the norming functional plus a
     small sample of dual directions (each f gives d >= s(x, f, t))."""
-    r0, hi = t / 4.0, 2.0 + t / 4.0
-    fs = [support_functional(space, xa / float(_norm_array(space, xa))).array]
+    F = _norming_functional(space, xa)[None, :]
     if n_extra:
-        fs.append(lowdisc_sphere(space, n_extra, seed=seed, dual=True))
-    F = np.vstack([np.atleast_2d(a) for a in fs])
-    best = 0.0  # d(x, t) >= 0 unconditionally
-    if space.dim == 2:
-        dirs = _rot90(F)
-        xs = np.broadcast_to(xa, (len(F), 2))
-        w, vals, slack = _scan_1d(space, xs, dirs, t, res_i, max_evals)
-        b0 = _boundary_vals_1d(space, xs, dirs, r0)
-        relax = np.where((w >= r0 - slack) & (w <= hi + slack), vals, np.inf)
-        m = np.minimum(np.min(relax, axis=1), np.min(b0, axis=1)) - slack
-        best = max(best, float(np.max(m)))
-    else:
-        for fa in F:
-            B = kernel_frame(space, Point.of(space, fa, side="dual")).matrix
-            lo, _, _ = _kernel_inf_bracket(space, xa, B, t, res_i, max_evals)
-            best = max(best, lo)
-    return best
+        F = np.vstack([F, lowdisc_sphere(space, n_extra, seed=seed, dual=True)])
+    lo, _ = _kernel_mins(space, np.broadcast_to(xa, F.shape), F, t, res_i, max_evals)
+    return max(0.0, float(np.max(lo)))  # d(x, t) >= 0 unconditionally
 
 
 def d_global(space: SpaceDescriptor, t: float,

@@ -76,10 +76,6 @@ class Polygon:
     def polar(self) -> "Polygon":
         return Polygon(self.facets)
 
-    def scaled_shifted(self, scale: Fraction, center: Vec) -> "Polygon":
-        return Polygon([(center[0] + scale * v[0], center[1] + scale * v[1])
-                        for v in self.vertices])
-
 
 def dot(a: Vec, b: Vec) -> Fraction:
     return a[0] * b[0] + a[1] * b[1]
@@ -161,12 +157,15 @@ def slice_diameter_exact(ball: Polygon, f: Vec, alpha: Fraction) -> Fraction:
 
 
 def _far_set_candidates(dual_ball: Polygon, f: Vec, t: Fraction) -> list[Vec]:
-    """Extreme candidates of {g in dual ball : ||f-g|| >= t} (dual-ball norm)."""
-    Q = dual_ball.scaled_shifted(t, f)
+    """Extreme candidates of {g in dual ball : ||f-g|| >= t} (dual-ball norm).
+
+    f + t B* stays a vertex list: it need not have the origin inside, as a
+    ``Polygon`` must."""
+    Q = [(f[0] + t * v[0], f[1] + t * v[1]) for v in dual_ball.vertices]
     cand = [v for v in dual_ball.vertices if dual_ball.gauge(sub(v, f)) >= t]
-    cand += [w for w in Q.vertices if dual_ball.contains(w)]
+    cand += [w for w in Q if dual_ball.contains(w)]
     for p, q in dual_ball.edges():
-        for r, s in Q.edges():
+        for r, s in zip(Q, Q[1:] + Q[:1]):
             pt = _segment_intersection(p, q, r, s)
             if pt is not None:
                 cand.append(pt)

@@ -1,7 +1,7 @@
-"""Sphere and ball grids with computed covering radii.
+"""Sphere grids with computed covering radii.
 
 Every certified search in the package reduces to covering a unit sphere
-(or ball) by finitely many points whose covering radius in the ambient
+by finitely many points whose covering radius in the ambient
 norm is known.  The radius is derived from rigorous norm-equivalence
 constants computed from the basis vectors, never assumed.
 """
@@ -18,6 +18,7 @@ from .errors import BudgetError, DomainError
 from .spaces import SpaceDescriptor, _dual_norm_array, _norm_array
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+_MAX_GRID_POINTS = 5_000_000  # a sphere grid larger than this raises BudgetError
 
 
 @dataclass(frozen=True)
@@ -33,19 +34,14 @@ class EquivConstants:
         return 2.0 * self.C / self.c
 
 
-def equiv_constants(space: SpaceDescriptor) -> EquivConstants:
+def equiv_constants(space: SpaceDescriptor, dual: bool = False) -> EquivConstants:
+    """Crude constants from the basis vectors; ``dual=True`` for the dual norm."""
+    norm_fn, other_fn = ((_dual_norm_array, _norm_array) if dual
+                         else (_norm_array, _dual_norm_array))
     d = space.dim
     E = np.eye(d)
-    C = math.sqrt(d) * float(np.max(_norm_array(space, E)))
-    c = 1.0 / (math.sqrt(d) * float(np.max(_dual_norm_array(space, E))))
-    return EquivConstants(c=c, C=C)
-
-
-def dual_equiv_constants(space: SpaceDescriptor) -> EquivConstants:
-    d = space.dim
-    E = np.eye(d)
-    C = math.sqrt(d) * float(np.max(_dual_norm_array(space, E)))
-    c = 1.0 / (math.sqrt(d) * float(np.max(_norm_array(space, E))))
+    C = math.sqrt(d) * float(np.max(norm_fn(space, E)))
+    c = 1.0 / (math.sqrt(d) * float(np.max(other_fn(space, E))))
     return EquivConstants(c=c, C=C)
 
 
@@ -56,7 +52,7 @@ def sharp_equiv_constants(space: SpaceDescriptor, dual: bool = False) -> EquivCo
     The crude constants make the norm provably Lipschitz on the Euclidean
     sphere; evaluating on a fine grid then gives rigorous sharper bounds.
     """
-    crude = dual_equiv_constants(space) if dual else equiv_constants(space)
+    crude = equiv_constants(space, dual)
     norm_fn = _dual_norm_array if dual else _norm_array
     d = space.dim
     if d == 1:
@@ -90,13 +86,8 @@ class SphereGrid:
     covering: float
 
 
-def _project(space: SpaceDescriptor, dirs: np.ndarray) -> np.ndarray:
-    norms = _norm_array(space, dirs)
-    return dirs / norms[..., None]
-
-
 def sphere_grid(space: SpaceDescriptor, resolution: float,
-                max_points: int = 5_000_000, dual: bool = False) -> SphereGrid:
+                dual: bool = False) -> SphereGrid:
     """Certified covering of the unit sphere at ambient covering radius
     <= resolution.  ``dual=True`` grids the sphere of the dual norm."""
     if resolution <= 0:
@@ -111,15 +102,15 @@ def sphere_grid(space: SpaceDescriptor, resolution: float,
     if d == 2:
         # Euclidean-arc half step * projection Lipschitz bounds the covering
         n = max(8, int(math.ceil(math.pi * L / resolution)))
-        if n > max_points:
-            raise BudgetError(f"2-D sphere grid needs {n} points, cap is {max_points}")
+        if n > _MAX_GRID_POINTS:
+            raise BudgetError(f"2-D sphere grid needs {n} points, cap is {_MAX_GRID_POINTS}")
         theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         pts = dirs / norm_fn(space, dirs)[:, None]
         h = L * (math.pi / n)  # half angular step, chord <= arc
         return SphereGrid(points=pts, covering=h)
     if d == 3:
-        verts, faces = _icosphere_for(resolution / L, max_points)
+        verts, faces = _icosphere_for(resolution / L)
         pts = verts / norm_fn(space, verts)[:, None]
         # Euclidean covering radius of the triangulated sphere: any unit
         # vector lies in a face cap; bound by the largest circumradius.
@@ -186,15 +177,15 @@ def _max_circumradius(V: np.ndarray, F: np.ndarray) -> float:
     return float(np.max(a * b * c / (4.0 * area))) * math.sqrt(2.0)
 
 
-def _icosphere_for(target_euclid: float, max_points: int) -> tuple[np.ndarray, np.ndarray]:
+def _icosphere_for(target_euclid: float) -> tuple[np.ndarray, np.ndarray]:
     level = 0
     while True:
         V, F = _icosphere(level)
         if _max_circumradius(V, F) <= target_euclid:
             return V, F
-        if len(V) * 4 > max_points:
-            raise BudgetError(
-                f"3-D sphere grid at covering {target_euclid:.3g} exceeds {max_points} points")
+        if len(V) * 4 > _MAX_GRID_POINTS:
+            raise BudgetError(f"3-D sphere grid at covering {target_euclid:.3g} "
+                              f"exceeds {_MAX_GRID_POINTS} points")
         level += 1
 
 
@@ -217,37 +208,3 @@ def lowdisc_sphere(space: SpaceDescriptor, n: int, seed: int = 0,
         dirs = rng.standard_normal((n, d))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     return dirs / norm_fn(space, dirs)[:, None]
-
-
-def max_pairwise_norm(space: SpaceDescriptor, pts: np.ndarray,
-                      dual: bool = False, chunk: int = 512) -> float:
-    """Largest pairwise distance among ``pts`` in the space's norm."""
-    if len(pts) < 2:
-        return 0.0
-    norm_fn = _dual_norm_array if dual else _norm_array
-    best = 0.0
-    for i in range(0, len(pts), chunk):
-        block = pts[i:i + chunk]
-        diffs = block[:, None, :] - pts[None, i:, :]
-        best = max(best, float(np.max(norm_fn(space, diffs))))
-    return best
-
-
-@dataclass(frozen=True)
-class BallGrid:
-    points: np.ndarray
-    covering: float
-
-
-def ball_grid(space: SpaceDescriptor, resolution: float,
-              max_points: int = 20_000_000, dual: bool = False) -> BallGrid:
-    """Covering of the closed unit ball at ambient covering radius <= resolution."""
-    sg = sphere_grid(space, resolution * 0.5, max_points=max_points, dual=dual)
-    n_r = max(2, int(math.ceil(2.0 / resolution)))
-    radii = np.linspace(0.0, 1.0, n_r + 1)
-    if (n_r + 1) * len(sg.points) > max_points:
-        raise BudgetError("ball grid exceeds the evaluation cap")
-    pts = (radii[:, None, None] * sg.points[None, :, :]).reshape(-1, space.dim)
-    # radial gap 1/n_r plus the sphere covering scaled by radius <= 1
-    cov = 0.5 / n_r * 2.0 + sg.covering
-    return BallGrid(points=pts, covering=cov)

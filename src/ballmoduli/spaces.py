@@ -10,7 +10,7 @@ idempotently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Literal, Optional, Sequence
@@ -95,6 +95,15 @@ class SpaceDescriptor:
         # equations: n . x + b <= 0 on the hull; 0 is interior so b < 0
         n, b = hull.equations[:, :-1], hull.equations[:, -1]
         return n / (-b)[:, None]
+
+    @cached_property
+    def _dual_vertices(self) -> np.ndarray:
+        """Vertices of the dual polytope: the distinct facet functionals."""
+        out: list[np.ndarray] = []
+        for row in self.facets:
+            if not any(np.allclose(row, r, atol=1e-10) for r in out):
+                out.append(row)
+        return np.array(out)
 
     @cached_property
     def block_slices(self) -> tuple[slice, ...]:
@@ -298,20 +307,10 @@ def polar_space(space: SpaceDescriptor) -> SpaceDescriptor:
         w = np.asarray(space.weights)
         return weighted_lp_space(space.q, tuple(w ** (-space.q / space.p)))
     if space.kind == "polyhedral":
-        # vertices of the polar polytope are the facet functionals
-        F = space.facets
-        return polyhedral_space([tuple(row) for row in _dedupe_rows(F)])
+        return polyhedral_space([tuple(row) for row in space._dual_vertices])
     if space.kind == "lp-sum":
         return make_lp_sum([polar_space(c) for c in space.components], space.q)
     raise DescriptorError(space.kind)
-
-
-def _dedupe_rows(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    out: list[np.ndarray] = []
-    for row in A:
-        if not any(np.allclose(row, r, atol=tol) for r in out):
-            out.append(row)
-    return np.array(out)
 
 
 # -- support mapping -------------------------------------------------------
@@ -338,7 +337,7 @@ def _support_array(space: SpaceDescriptor, a: np.ndarray) -> np.ndarray:
         w = np.asarray(space.weights)
         return w * np.sign(a) * np.abs(a) ** (space.p - 1.0)
     if space.kind == "polyhedral":
-        W = _dedupe_rows(space.facets)  # vertices of the dual polytope
+        W = space._dual_vertices
         vals = W @ a
         feasible = W[vals >= 1.0 - 1e-9]
         if len(feasible) == 0:  # numerical guard; take the best available
@@ -370,25 +369,13 @@ def duality_preimage(space: SpaceDescriptor, f, tol: float = 1e-9) -> Point:
 # -- kernel frames ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelFrame:
-    functional: Point
-    basis: tuple[tuple[float, ...], ...] = field(default=())
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """(dim-1, dim) array whose rows span ker f, Euclid-orthonormal."""
-        return np.asarray(self.basis, dtype=float)
-
-
-def kernel_frame(space: SpaceDescriptor, f) -> KernelFrame:
+def kernel_frame(space: SpaceDescriptor, f) -> np.ndarray:
+    """(dim-1, dim) array whose rows span ker f, Euclid-orthonormal."""
     a = _coords(f, space, "dual")
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
         raise DomainError("kernel_frame requires a nonzero functional")
-    B = null_space(a[None, :] / scale)
-    fp = f if isinstance(f, Point) else Point.of(space, a, side="dual")
-    return KernelFrame(functional=fp, basis=tuple(tuple(col) for col in B.T))
+    return null_space(a[None, :] / scale).T
 
 
 # -- exact rational views (consumed by the oracle) -------------------------

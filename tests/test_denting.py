@@ -79,6 +79,10 @@ class TestDPoint:
         b = d_point(preset("l1-2d"), (0.5, 0.5), 0.5)
         assert b.lower >= 0.0
 
+    def test_euclidean_3d_matches_norming_direction(self):
+        b = d_point(preset("l2-3"), (1.0, 0.0, 0.0), 1.0, Budget(resolution=0.3))
+        assert b.lower <= S_PIN <= b.upper
+
 
 class TestDGlobal:
     def test_euclidean_rotation_invariance(self):

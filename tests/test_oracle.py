@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from ballmoduli import DomainError, preset
+from ballmoduli import (Budget, DomainError, beta_sup, polyhedral_space,
+                        preset)
 from ballmoduli.oracle import (BATTERY, exact_beta_point, exact_beta_sup,
                                exact_d_positive, exact_d_star_positive,
                                exact_d_star_zero_is_zero, exact_s_point,
@@ -53,6 +54,15 @@ class TestExactPolyhedral:
         space = preset("l1-2d")  # dual ball is the square
         assert exact_d_star_positive(space, (1.0, 1.0), 0.5)
         assert not exact_d_star_positive(space, (1.0, 0.0), 0.5)
+
+    def test_beta_sup_cut_edge_through_origin(self):
+        # an edge of f + t B* lies on a line through the origin
+        space = polyhedral_space([(7 / 8, 7 / 16), (-7 / 8, -7 / 16), (0.0, 15 / 16),
+                                  (0.0, -15 / 16), (7 / 8, -1 / 2), (-7 / 8, 1 / 2)])
+        f = (-4 / 105, -16 / 15)
+        val = exact_beta_sup(space, f, 0.5)
+        assert val == 0
+        assert beta_sup(space, f, 0.5, Budget(resolution=5e-3)).contains(float(val))
 
     def test_d_star_zero_detection(self):
         space = preset("l1-2d")

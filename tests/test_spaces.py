@@ -102,7 +102,7 @@ class TestDualityMaps:
         space = lp_space(3, 2.0)
         f = rng.normal(size=3)
         f = f / dual_norm(space, f)
-        K = kernel_frame(space, f).matrix
+        K = kernel_frame(space, f)
         assert K.shape == (2, 3)
         assert np.allclose(K @ f, 0.0, atol=1e-10)
 
