@@ -5,8 +5,8 @@ with certified interval brackets, an independent brute-force/exact
 oracle, property-verification suites, and a CLI front end.
 """
 
-from .bracket import (CLOSED_FORM, CURVE_CSV_COLUMNS, EXACT, GRID, MULTISTART,
-                      Bracket, ModulusCurve)
+from .bracket import (CURVE_CSV_COLUMNS, EXACT, GRID, MULTISTART, Bracket,
+                      ModulusCurve)
 from .beta import beta_global, beta_point, beta_sup, is_euclidean
 from .config import DEFAULT_BUDGET, Budget
 from .denting import (d_global, d_point, d_star, d_star_global, d_star_zero,
@@ -29,7 +29,7 @@ from .verify import (Check, VerificationReport, list_suites,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bracket", "ModulusCurve", "GRID", "MULTISTART", "CLOSED_FORM", "EXACT",
+    "Bracket", "ModulusCurve", "GRID", "MULTISTART", "EXACT",
     "CURVE_CSV_COLUMNS",
     "Budget", "DEFAULT_BUDGET",
     "BallModuliError", "DimensionMismatchError", "DomainError",

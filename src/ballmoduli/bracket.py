@@ -7,7 +7,6 @@ from typing import Optional
 
 GRID = "grid-certified"
 MULTISTART = "multistart"
-CLOSED_FORM = "closed-form"
 EXACT = "exact"
 
 
@@ -43,8 +42,8 @@ class Bracket:
     def contains(self, value: float, slack: float = 0.0) -> bool:
         return self.lower - slack <= value <= self.upper + slack
 
-    def overlaps(self, other: "Bracket", slack: float = 0.0) -> bool:
-        return self.lower <= other.upper + slack and other.lower <= self.upper + slack
+    def overlaps(self, other: "Bracket") -> bool:
+        return self.lower <= other.upper and other.lower <= self.upper
 
     def hull(self, other: "Bracket") -> "Bracket":
         return replace(self, lower=min(self.lower, other.lower),
@@ -87,12 +86,10 @@ class ModulusCurve:
             out.append(row)
         return out
 
-    def is_monotone(self, slack_from_widths: bool = True) -> bool:
+    def is_monotone(self) -> bool:
         """Midpoints nondecreasing up to the combined bracket widths."""
-        for (t1, b1), (t2, b2) in zip(zip(self.t_grid, self.values),
-                                      zip(self.t_grid[1:], self.values[1:])):
-            tol = (b1.width + b2.width) if slack_from_widths else 0.0
-            if b2.midpoint < b1.midpoint - tol - 1e-12:
+        for b1, b2 in zip(self.values, self.values[1:]):
+            if b2.midpoint < b1.midpoint - (b1.width + b2.width) - 1e-12:
                 return False
         return True
 

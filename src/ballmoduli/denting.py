@@ -208,7 +208,7 @@ def _norming_functional(space: SpaceDescriptor, xa: np.ndarray) -> np.ndarray:
 
 def _d_point_bounds(space: SpaceDescriptor, xa: np.ndarray, t: float,
                     res_f: float, res_i: float, max_evals: int) -> tuple[float, float]:
-    grid = sphere_grid(space, res_f, dual=True)
+    grid = sphere_grid(polar_space(space), res_f)
     F = np.vstack([grid.points, _norming_functional(space, xa)])
     R_t = 2.0 + t / 4.0
     lo, up = _kernel_mins(space, np.broadcast_to(xa, F.shape), F, t, res_i,
@@ -227,7 +227,7 @@ def _d_lower_cheap(space: SpaceDescriptor, xa: np.ndarray, t: float,
     small sample of dual directions (each f gives d >= s(x, f, t))."""
     F = _norming_functional(space, xa)[None, :]
     if n_extra:
-        F = np.vstack([F, lowdisc_sphere(space, n_extra, seed=seed, dual=True)])
+        F = np.vstack([F, lowdisc_sphere(polar_space(space), n_extra, seed=seed)])
     lo, _ = _kernel_mins(space, np.broadcast_to(xa, F.shape), F, t, res_i, max_evals)
     return max(0.0, float(np.max(lo)))  # d(x, t) >= 0 unconditionally
 
@@ -289,7 +289,10 @@ def d_star_zero(space: SpaceDescriptor, f, t: float,
 
     Lower bound: g = f is always admissible, plus a strict-interior sample
     at radius <= t(1 - 1e-6).  Upper bound: d*(., t) is 1-Lipschitz in g, so
-    a covering of the closed neighbourhood certifies the sup.
+    a covering of the closed neighbourhood certifies the sup.  The d* upper
+    scan at each cover point runs at fixed resolutions (dual grid 0.02,
+    kernel 5e-3 in 2-D; 0.3 and 0.08 in 3-D), whatever ``budget.resolution``
+    says; only the cover and the lower bound follow the budget.
     """
     if not (0.0 < t < 2.0):
         raise DomainError(f"d*0 needs 0 < t < 2, got {t}")

@@ -202,26 +202,27 @@ def beta_sup_exact(primal_ball: Polygon, dual_ball: Polygon,
     functions is attained at an endpoint or a crossing of two lines.
     """
     cand = _far_set_candidates(dual_ball, f, t)
-    best_min: Optional[Fraction] = None
-    for v, w in primal_ball.edges():
-        d = sub(w, v)
-        # affine functions lam -> g.v + lam * g.d
-        consts = [dot(g, v) for g in cand]
-        slopes = [dot(g, d) for g in cand]
-        lams = {ZERO, ONE}
-        m = len(cand)
-        for i in range(m):
-            for j in range(i + 1, m):
-                if slopes[i] != slopes[j]:
-                    lam = (consts[j] - consts[i]) / (slopes[i] - slopes[j])
-                    if 0 < lam < 1:
-                        lams.add(lam)
-        for lam in lams:
-            val = max(c + lam * s for c, s in zip(consts, slopes))
-            if best_min is None or val < best_min:
-                best_min = val
-    assert best_min is not None
-    return 1 - best_min
+    # on each sphere edge v + lam (w - v): the affine maps lam -> g.v + lam g.(w-v)
+    return 1 - min(_min_of_max_affine([dot(g, v) for g in cand],
+                                      [dot(g, sub(w, v)) for g in cand], ZERO, ONE)
+                   for v, w in primal_ball.edges())
+
+
+def _min_of_max_affine(consts: Sequence[Fraction], slopes: Sequence[Fraction],
+                       lo: Fraction, hi: Fraction) -> Fraction:
+    """min over s in [lo, hi] of max_i (consts[i] + s slopes[i]), exactly.
+
+    The maximum is convex and piecewise linear in s, so the minimum is
+    attained at an endpoint or where two of the lines cross."""
+    cands = {lo, hi}
+    m = len(consts)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if slopes[i] != slopes[j]:
+                s = (consts[j] - consts[i]) / (slopes[i] - slopes[j])
+                if lo < s < hi:
+                    cands.add(s)
+    return min(max(c + s * k for c, k in zip(consts, slopes)) for s in cands)
 
 
 # -- s modulus on a polygonal ball ----------------------------------------
@@ -233,25 +234,10 @@ def s_point_exact(ball: Polygon, x: Vec, f: Vec, t: Fraction) -> Fraction:
     nv = ball.gauge(v)
     lo = (t / 4) / nv
     hi = (2 + t / 4) / nv
-    best: Optional[Fraction] = None
-    for sign in (1, -1):
-        sv = (sign * v[0], sign * v[1])
-        consts = [dot(a, x) for a in ball.facets]
-        slopes = [dot(a, sv) for a in ball.facets]
-        cands = {lo, hi}
-        m = len(consts)
-        for i in range(m):
-            for j in range(i + 1, m):
-                if slopes[i] != slopes[j]:
-                    s = (consts[j] - consts[i]) / (slopes[i] - slopes[j])
-                    if lo < s < hi:
-                        cands.add(s)
-        for s in cands:
-            val = max(c + s * k for c, k in zip(consts, slopes)) - 1
-            if best is None or val < best:
-                best = val
-    assert best is not None
-    return best
+    consts = [dot(a, x) for a in ball.facets]
+    # y = s (sign v) for s in [lo, hi]: ||x + y|| = max over facets a of a.x + s a.(sign v)
+    return min(_min_of_max_affine(consts, [sign * dot(a, v) for a in ball.facets], lo, hi)
+               for sign in (1, -1)) - 1
 
 
 # -- denting sign tests ----------------------------------------------------

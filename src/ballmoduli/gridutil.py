@@ -34,29 +34,26 @@ class EquivConstants:
         return 2.0 * self.C / self.c
 
 
-def equiv_constants(space: SpaceDescriptor, dual: bool = False) -> EquivConstants:
-    """Crude constants from the basis vectors; ``dual=True`` for the dual norm."""
-    norm_fn, other_fn = ((_dual_norm_array, _norm_array) if dual
-                         else (_norm_array, _dual_norm_array))
+def equiv_constants(space: SpaceDescriptor) -> EquivConstants:
+    """Crude constants from the basis vectors."""
     d = space.dim
     E = np.eye(d)
-    C = math.sqrt(d) * float(np.max(norm_fn(space, E)))
-    c = 1.0 / (math.sqrt(d) * float(np.max(other_fn(space, E))))
+    C = math.sqrt(d) * float(np.max(_norm_array(space, E)))
+    c = 1.0 / (math.sqrt(d) * float(np.max(_dual_norm_array(space, E))))
     return EquivConstants(c=c, C=C)
 
 
 @lru_cache(maxsize=256)
-def sharp_equiv_constants(space: SpaceDescriptor, dual: bool = False) -> EquivConstants:
+def sharp_equiv_constants(space: SpaceDescriptor) -> EquivConstants:
     """Tightened equivalence constants, bootstrapped from the crude ones.
 
     The crude constants make the norm provably Lipschitz on the Euclidean
     sphere; evaluating on a fine grid then gives rigorous sharper bounds.
     """
-    crude = equiv_constants(space, dual)
-    norm_fn = _dual_norm_array if dual else _norm_array
+    crude = equiv_constants(space)
     d = space.dim
     if d == 1:
-        v = float(norm_fn(space, np.array([[1.0]])))
+        v = float(_norm_array(space, np.array([[1.0]])))
         return EquivConstants(c=v, C=v)
     if d == 2:
         n = 8192
@@ -66,7 +63,7 @@ def sharp_equiv_constants(space: SpaceDescriptor, dual: bool = False) -> EquivCo
     else:
         dirs, faces = _icosphere(4)
         gap = _max_circumradius(dirs, faces)
-    vals = norm_fn(space, dirs)
+    vals = _norm_array(space, dirs)
     C = min(crude.C, float(np.max(vals)) + crude.C * gap)
     c = max(crude.c, float(np.min(vals)) - crude.C * gap)
     if c <= 0:
@@ -82,22 +79,25 @@ class SphereGrid:
     in the space's own norm.
     """
 
-    points: np.ndarray  # (n, dim)
+    points: np.ndarray  # (n, dim), read-only: grids are memoized and shared
     covering: float
 
+    def __post_init__(self):
+        self.points.flags.writeable = False
 
-def sphere_grid(space: SpaceDescriptor, resolution: float,
-                dual: bool = False) -> SphereGrid:
+
+@lru_cache(maxsize=256)
+def sphere_grid(space: SpaceDescriptor, resolution: float) -> SphereGrid:
     """Certified covering of the unit sphere at ambient covering radius
-    <= resolution.  ``dual=True`` grids the sphere of the dual norm."""
+    <= resolution.  Memoized: the points are shared and read-only.  The
+    dual sphere is ``sphere_grid(polar_space(space), resolution)``."""
     if resolution <= 0:
         raise DomainError("resolution must be positive")
-    eq = sharp_equiv_constants(space, dual)
-    norm_fn = _dual_norm_array if dual else _norm_array
+    eq = sharp_equiv_constants(space)
     L = eq.projection_lipschitz
     d = space.dim
     if d == 1:
-        pts = np.array([[1.0], [-1.0]]) / norm_fn(space, np.array([[1.0]]))[0]
+        pts = np.array([[1.0], [-1.0]]) / _norm_array(space, np.array([[1.0]]))[0]
         return SphereGrid(points=pts, covering=0.0)
     if d == 2:
         # Euclidean-arc half step * projection Lipschitz bounds the covering
@@ -106,12 +106,12 @@ def sphere_grid(space: SpaceDescriptor, resolution: float,
             raise BudgetError(f"2-D sphere grid needs {n} points, cap is {_MAX_GRID_POINTS}")
         theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        pts = dirs / norm_fn(space, dirs)[:, None]
+        pts = dirs / _norm_array(space, dirs)[:, None]
         h = L * (math.pi / n)  # half angular step, chord <= arc
         return SphereGrid(points=pts, covering=h)
     if d == 3:
         verts, faces = _icosphere_for(resolution / L)
-        pts = verts / norm_fn(space, verts)[:, None]
+        pts = verts / _norm_array(space, verts)[:, None]
         # Euclidean covering radius of the triangulated sphere: any unit
         # vector lies in a face cap; bound by the largest circumradius.
         r = _max_circumradius(verts, faces)
@@ -189,12 +189,11 @@ def _icosphere_for(target_euclid: float) -> tuple[np.ndarray, np.ndarray]:
         level += 1
 
 
-def lowdisc_sphere(space: SpaceDescriptor, n: int, seed: int = 0,
-                   dual: bool = False) -> np.ndarray:
-    """Deterministic low-discrepancy sequence on the unit sphere."""
-    norm_fn = _dual_norm_array if dual else _norm_array
+@lru_cache(maxsize=256)
+def lowdisc_sphere(space: SpaceDescriptor, n: int, seed: int = 0) -> np.ndarray:
+    """Deterministic low-discrepancy sequence on the unit sphere (memoized,
+    read-only).  ``seed`` is used only outside dimensions 2 and 3."""
     d = space.dim
-    rng = np.random.default_rng(seed)
     if d == 2:
         theta = (2.0 * math.pi) * ((np.arange(n) * 0.6180339887498949 + 0.05) % 1.0)
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
@@ -205,6 +204,8 @@ def lowdisc_sphere(space: SpaceDescriptor, n: int, seed: int = 0,
         th = GOLDEN_ANGLE * np.arange(n)
         dirs = np.stack([r * np.cos(th), r * np.sin(th), z], axis=-1)
     else:
-        dirs = rng.standard_normal((n, d))
+        dirs = np.random.default_rng(seed).standard_normal((n, d))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    return dirs / norm_fn(space, dirs)[:, None]
+    pts = dirs / _norm_array(space, dirs)[:, None]
+    pts.flags.writeable = False
+    return pts

@@ -16,13 +16,15 @@ from typing import Literal, Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .bracket import GRID, Bracket
+from .bracket import GRID, MULTISTART, Bracket
 from .config import Budget, resolve
 from .denting import modulus_convexity, _resolution, _vec
 from .errors import BallConstructionError, DomainError
 from .gridutil import lowdisc_sphere, sphere_grid
 from .spaces import (Point, SpaceDescriptor, duality_preimage, polar_space,
                      _dual_norm_array, _norm_array)
+
+_PAIR_CHUNK = 1024  # _max_pair's difference blocks hold _PAIR_CHUNK * n points
 
 
 @dataclass(frozen=True)
@@ -80,12 +82,12 @@ def slice_diameter(space: SpaceDescriptor, slc: Slice,
                    resolution=res, lipschitz=1.0, seed=budget.seed)
 
 
-def _max_pair(space: SpaceDescriptor, pts: np.ndarray, chunk: int = 1024) -> float:
+def _max_pair(space: SpaceDescriptor, pts: np.ndarray) -> float:
     if len(pts) < 2:
         return 0.0
     best = 0.0
-    for i in range(0, len(pts), chunk):
-        diffs = pts[i:i + chunk, None, :] - pts[None, :, :]
+    for i in range(0, len(pts), _PAIR_CHUNK):
+        diffs = pts[i:i + _PAIR_CHUNK, None, :] - pts[None, :, :]
         best = max(best, float(np.max(_norm_array(space, diffs))))
     return best
 
@@ -101,7 +103,9 @@ def f_eps_radius(space: SpaceDescriptor, eps: float,
     Upper bound (rigorous): any f with ||f|| > 1 - 2 delta*(eps/2) lies in
     the small w*-slice determined by a norming direction of f.  Lower
     bound (by definition a search floor): the largest norm of a sample
-    point for which no witness slice was found within the budget.
+    point for which no witness slice was found within the budget.  The
+    lower bound is sampled, not certified, so the bracket is tagged
+    ``multistart``.
     Convention: eps >= 2 returns [0, 0] — the whole-ball slice witnesses
     every point.
     """
@@ -130,7 +134,7 @@ def f_eps_radius(space: SpaceDescriptor, eps: float,
             if not _has_witness_slice(space, W, fr, eps, budget):
                 lower = max(lower, float(_norm_array(W, fr)))
     lower = min(lower, upper)
-    return Bracket(lower=lower, upper=upper, method=GRID,
+    return Bracket(lower=lower, upper=upper, method=MULTISTART,
                    resolution=delta.resolution, lipschitz=1.0, seed=budget.seed)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -299,8 +299,12 @@ def pairing(f, x) -> float:
 # -- polar space -----------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def polar_space(space: SpaceDescriptor) -> SpaceDescriptor:
-    """Descriptor of the dual space X*: dual_norm in X equals norm in polar(X)."""
+    """Descriptor of the dual space X*: dual_norm in X equals norm in polar(X).
+
+    Memoized on the descriptor's value, so equal descriptors share one polar
+    together with its derived data (facets, grids)."""
     if space.kind == "lp":
         return lp_space(space.dim, space.q)
     if space.kind == "weighted-lp":

@@ -1,11 +1,18 @@
 """Randomized structural properties, driven by hypothesis."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from ballmoduli import (Bracket, dual_norm, duality_preimage, norm, pairing,
-                        preset, support_functional, witness_functional)
+from ballmoduli import (Bracket, Budget, Slice, beta_point, beta_sup, dual_norm,
+                        duality_preimage, norm, pairing, polyhedral_space, preset,
+                        s_point, slice_diameter, support_functional,
+                        witness_functional)
+from ballmoduli import oracle
+from ballmoduli.exactpoly import Polygon
 
 PRESETS = ["l2-2", "l2-3", "lp:1.5-2d", "lp:3-2d", "l1-2d", "linf-2d",
            "square-rot", "l2sum-4"]
@@ -95,3 +102,60 @@ class TestBracketAlgebra:
         with pytest.raises(ValueError):
             Bracket(lower=1.0, upper=0.0, method="exact", resolution=0.0,
                     lipschitz=0.0)
+
+
+@st.composite
+def rational_polygons(draw):
+    """A symmetric polygon with 4 to 8 vertices on the 1/16 grid: one vertex
+    per slot of a half turn, at radius 5/8 to 1, inradius at least 1/3."""
+    pairs = draw(st.integers(2, 4))
+    half = []
+    for k in range(pairs):
+        a = math.pi * (k + draw(st.floats(0.0, 1.0))) / pairs
+        r = draw(st.integers(10, 16)) / 16
+        half.append((Fraction(round(16 * r * math.cos(a)), 16),
+                     Fraction(round(16 * r * math.sin(a)), 16)))
+    try:
+        poly = Polygon(half + [(-x, -y) for x, y in half])
+    except ValueError:
+        assume(False)
+    assume(len(poly.vertices) >= 4)
+    assume(max(a1 * a1 + a2 * a2 for a1, a2 in poly.facets) <= 9)
+    return poly
+
+
+def _edge_point(poly: Polygon, i: int, lam: Fraction):
+    v, w = poly.edges()[i % len(poly.vertices)]
+    return (v[0] + lam * (w[0] - v[0]), v[1] + lam * (w[1] - v[1]))
+
+
+def _floats(v) -> tuple[float, ...]:
+    return tuple(float(c) for c in v)
+
+
+class TestEngineContainsExact:
+    """Every engine bracket on a rational polygon contains the exact value."""
+
+    @given(rational_polygons(), st.integers(0, 7), st.integers(0, 7),
+           st.integers(1, 15), st.integers(1, 15), st.integers(1, 31))
+    @settings(max_examples=25, deadline=None)
+    def test_brackets_contain_exact_values(self, poly, i, j, li, lj, k):
+        space = polyhedral_space([_floats(v) for v in poly.vertices])
+        budget = Budget(resolution=1.5e-2)
+        x = _floats(_edge_point(poly, i, Fraction(li, 16)))
+        f = _floats(poly.facets[i % len(poly.facets)])  # norms edge i
+        y = _floats(_edge_point(poly, j, Fraction(lj, 16)))
+        t = k / 16  # in (0, 2)
+        tb = (k % 15 + 1) / 16  # in (0, 1)
+        checks = [
+            (s_point(space, x, f, t, budget), oracle.exact_s_point(space, x, f, t)),
+            (beta_point(space, f, y, tb, budget),
+             oracle.exact_beta_point(space, f, y, tb)),
+            (beta_sup(space, f, tb, budget), oracle.exact_beta_sup(space, f, tb)),
+            (slice_diameter(space, Slice.of(f, tb, "primal"), budget),
+             oracle.exact_slice_diameter(space, f, tb, "primal")),
+            (slice_diameter(space, Slice.of(y, tb, "dual"), budget),
+             oracle.exact_slice_diameter(space, y, tb, "dual")),
+        ]
+        for bracket, exact in checks:
+            assert bracket.contains(float(exact), slack=1e-9), (bracket, exact)

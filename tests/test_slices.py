@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ballmoduli import (BallConstructionError, Budget, DomainError,
+from ballmoduli import (MULTISTART, BallConstructionError, Budget, DomainError,
                         SeparatingBall, Slice, construct_separating_ball,
                         f_eps_radius, norm, pairing, preset, slice_diameter)
 
@@ -49,6 +49,10 @@ class TestFEpsRadius:
     def test_square_face_midpoints_never_witnessed(self):
         b = f_eps_radius(preset("l1-2d"), 0.5)
         assert b.lower >= 1.0 - 1e-6
+
+    def test_sampled_lower_bound_is_tagged_best_effort(self):
+        b = f_eps_radius(preset("l2-2"), 1.0, Budget(resolution=0.05))
+        assert b.method == MULTISTART
 
     def test_large_eps_convention(self):
         b = f_eps_radius(preset("l2-2"), 2.0)

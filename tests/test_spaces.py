@@ -8,6 +8,7 @@ from ballmoduli import (DescriptorError, DimensionMismatchError, Point,
                         duality_preimage, hypercube, lp_space, make_lp_sum,
                         norm, pairing, polar_space, polyhedral_space, preset,
                         support_functional, weighted_lp_space)
+from ballmoduli.gridutil import lowdisc_sphere, sphere_grid
 from ballmoduli.spaces import exact_vertices, kernel_frame
 
 
@@ -74,6 +75,33 @@ class TestPolarity:
         dual = polar_space(space)
         assert dual.kind == "lp-sum"
         assert dual.p == pytest.approx(2.0)
+
+
+class TestDerivedData:
+    def test_equal_descriptors_share_polar_grids_and_samples(self):
+        a, b = preset("square-rot"), preset("square-rot")
+        assert a is not b
+        assert polar_space(a) is polar_space(b)
+        assert sphere_grid(a, 0.05) is sphere_grid(b, 0.05)
+        assert lowdisc_sphere(a, 16, seed=3) is lowdisc_sphere(b, 16, seed=3)
+
+    @pytest.mark.parametrize("name", ["l2-2", "l2-3", "lp:3-4d"])
+    def test_cached_arrays_are_read_only(self, name):
+        space = preset(name)
+        arrays = [lowdisc_sphere(space, 8)]
+        if space.dim <= 3:
+            arrays.append(sphere_grid(space, 0.3).points)
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+
+    @pytest.mark.parametrize("space", [
+        preset("l2-2"), preset("lp:1.5-2d"), weighted_lp_space(3.0, [1.0, 2.0]),
+        preset("l1-2d"), preset("square-rot"), preset("l2-3")],
+        ids=["l2-2", "lp:1.5-2d", "wlp:3:1,2", "l1-2d", "square-rot", "l2-3"])
+    def test_dual_sphere_is_the_polar_sphere(self, space):
+        pts = sphere_grid(polar_space(space), 0.1).points
+        assert np.allclose(dual_norm(space, pts), 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestDualityMaps:
