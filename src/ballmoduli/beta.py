@@ -78,28 +78,18 @@ def beta_point(space: SpaceDescriptor, f, x, t: float,
     # 1 - g(x) is 1-Lipschitz in g for the W-norm since ||x|| = 1
     upper = 1.0 - float(np.max(feas @ xa))
     lower = 1.0 - float(np.max(relax @ xa)) - h
-    return Bracket(lower=max(lower, 0.0), upper=max(upper, lower, 0.0),
+    return Bracket(lower=max(lower, 0.0), upper=max(upper, 0.0),
                    method=GRID, resolution=res, lipschitz=1.0, seed=budget.seed)
-
-
-def _plane_reduction(fa: np.ndarray, xa: np.ndarray) -> np.ndarray:
-    """Coordinates of x in an orthonormal frame (f, e) of span{f, x}."""
-    a = float(fa @ xa)
-    rest = xa - a * fa
-    b = float(np.linalg.norm(rest))
-    return np.array([a, b])
 
 
 def _beta_point_euclidean(fa: np.ndarray, xa: np.ndarray, t: float,
                           budget: Budget) -> Bracket:
-    """Euclidean norms are rotation invariant: the optimum over the dual ball
-    lies in span{f, x}, reducing the problem to the plane."""
-    plane = lp_space(2, 2.0)
-    f2 = np.array([1.0, 0.0])
-    x2 = _plane_reduction(fa, xa)
-    nx = float(np.linalg.norm(x2))
-    x2 = x2 / nx if nx > 0 else np.array([1.0, 0.0])
-    return beta_point(plane, f2, x2, t, budget)
+    """Inner-product norms are isometric to l2 with f mapped to (1, 0): the
+    optimum over the dual ball lies in span{f, x}, and x maps to
+    (a, sqrt(1 - a^2)) with a = f(x), which holds for any inner product."""
+    a = float(fa @ xa)
+    x2 = np.array([a, math.sqrt(max(1.0 - a * a, 0.0))])
+    return beta_point(lp_space(2, 2.0), np.array([1.0, 0.0]), x2, t, budget)
 
 
 def beta_sup(space: SpaceDescriptor, f, t: float,
@@ -141,10 +131,8 @@ def _beta_sup_grid(space: SpaceDescriptor, W: SpaceDescriptor, fa: np.ndarray,
         lo_pt = 1.0 - np.max(relax @ blk.T, axis=0) - h_g
         lower = max(lower, float(np.max(lo_pt)))
         upper = max(upper, float(np.max(up_pt)))
-    upper += xgrid.covering
-    lower = max(lower, 0.0)
-    return Bracket(lower=lower, upper=max(upper, lower), method=GRID,
-                   resolution=res_x, lipschitz=1.0, seed=budget.seed)
+    return Bracket(lower=max(lower, 0.0), upper=upper + xgrid.covering,
+                   method=GRID, resolution=res_x, lipschitz=1.0, seed=budget.seed)
 
 
 def _beta_sup_euclidean(t: float, budget: Budget) -> Bracket:
@@ -203,6 +191,5 @@ def _beta_global_single(space: SpaceDescriptor, t: float, budget: Budget) -> Bra
                 scale = dual.gauge(cand)
                 g = (cand[0] / scale, cand[1] / scale)
                 upper = min(upper, float(exact_beta_sup(space, g, t)))
-    lower = max(min(lower, upper), 0.0)
-    return Bracket(lower=lower, upper=max(upper, lower), method=GRID,
+    return Bracket(lower=max(lower, 0.0), upper=upper, method=GRID,
                    resolution=res_f, lipschitz=1.0, seed=budget.seed)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .beta import beta_global
 from .bracket import CURVE_CSV_COLUMNS, Bracket
-from .config import Budget
+from .config import DEFAULT_BUDGET, Budget
 from .denting import (d_global, d_star_global, d_star_zero_global,
                       modulus_convexity)
 from .errors import BallModuliError, BudgetError, DescriptorError, DomainError
@@ -62,8 +62,10 @@ def _parse_t_grid(args) -> list[float]:
 
 
 def _budget(args) -> Budget:
+    if args.budget is not None and args.budget <= 0:
+        raise DomainError(f"--budget must be positive, got {args.budget}")
     return Budget(resolution=args.resolution,
-                  max_evals=args.budget if args.budget else 50_000_000,
+                  max_evals=args.budget or DEFAULT_BUDGET.max_evals,
                   seed=args.seed)
 
 
@@ -155,7 +157,7 @@ def cmd_oracle_diff(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=None,
-                   help="maximum objective evaluations")
+                   help="maximum objective evaluations (a positive integer)")
     p.add_argument("--resolution", type=float, default=None,
                    help="target grid covering radius (operation default if unset)")
     p.add_argument("--seed", type=int, default=0)

@@ -19,7 +19,7 @@ from .config import Budget, resolve
 from .errors import BudgetError, DomainError
 from .gridutil import lowdisc_sphere, sharp_equiv_constants, sphere_grid
 from .spaces import (Point, SpaceDescriptor, kernel_frame, polar_space,
-                     support_functional, _dual_norm_array, _norm_array)
+                     _dual_norm_array, _norm_array, _support_array)
 
 _UNIT_TOL = 1e-6
 
@@ -78,10 +78,9 @@ def modulus_convexity(space: SpaceDescriptor, t: float,
         # symmetric grids contain antipodal pairs at distance 2 >= t, so this
         # only triggers on pathological resolutions
         raise BudgetError("no feasible pair found; refine the resolution")
-    lower = max(0.0, best_relax - h)
-    upper = max(best_feas, lower)
-    return Bracket(lower=lower, upper=upper, method=GRID, resolution=res,
-                   lipschitz=1.0, seed=budget.seed)
+    # delta >= 0 a priori; a negative value is rounding in ||x+y|| <= 2
+    return Bracket(lower=max(0.0, best_relax - h), upper=max(best_feas, 0.0),
+                   method=GRID, resolution=res, lipschitz=1.0, seed=budget.seed)
 
 
 # -- kernel scans for the s-modulus ----------------------------------------
@@ -110,6 +109,13 @@ def _kernel_mins(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray,
     is the least value at feasible points of the tightened problem
     ||y|| >= r_tight truncated at 2 + t/4: grid points with
     r_tight <= ||y|| <= 2 + t/4 and the ring at radius min(r_tight, 2 + t/4).
+
+    Rows are scanned in chunks of at most min(256 n_c, max_evals) grid
+    points (256 functionals in the plane) to bound peak memory; a
+    ``BudgetError`` is raised only when one row's grid exceeds max_evals.
+    Each chunk is scanned in its own call, so its (chunk, grid, dim) arrays
+    are freed before the next chunk is built; holding them across the loop
+    would put two full chunks in memory at once.
     """
     eq = sharp_equiv_constants(space)
     r0, hi = t / 4.0, 2.0 + t / 4.0
@@ -122,23 +128,15 @@ def _kernel_mins(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray,
         grid = c[:, None]
         ring = np.array([[1.0], [-1.0]])
     elif space.dim == 3:
-        bases = np.stack([kernel_frame(space, f) for f in F])
+        bases = np.array([kernel_frame(space, f) for f in F]).reshape(-1, 2, 3)
         grid = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
         th = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
         ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
     else:
         raise DomainError("certified kernel scans are limited to dimension <= 3")
     slack = eq.C * (c[1] - c[0]) * math.sqrt(grid.shape[1]) / 2.0
-    # chunks of at most 256 * n_c grid points (256 functionals in the plane)
-    # bound peak memory
-    chunk = max(1, 256 * n_c // len(grid))
-    lower = np.empty(len(F))
-    upper = np.empty(len(F)) if r_tight is not None else None
-    for i in range(0, len(F), chunk):
-        B, x = bases[i:i + chunk], xs[i:i + chunk, None, :]
-        if len(B) * len(grid) > max_evals:
-            raise BudgetError(
-                f"kernel scan of {len(B) * len(grid)} evaluations exceeds the budget")
+
+    def scan(B: np.ndarray, x: np.ndarray):
         Y = grid @ B
         w = _norm_array(space, Y)
         vals = _norm_array(space, x + Y) - 1.0
@@ -150,11 +148,24 @@ def _kernel_mins(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray,
             return np.min(_norm_array(space, x + Yb), axis=1) - 1.0
 
         relax = np.where((w >= r0 - slack) & (w <= hi + slack), vals, np.inf)
-        lower[i:i + chunk] = np.minimum(np.min(relax, axis=1), ring_min(r0)) - slack
+        lo = np.minimum(np.min(relax, axis=1), ring_min(r0)) - slack
+        if r_tight is None:
+            return lo, None
+        tight = np.where((w >= r_tight) & (w <= hi), vals, np.inf)
+        return lo, np.minimum(np.min(tight, axis=1), ring_min(min(r_tight, hi)))
+
+    chunk = max(1, min(256 * n_c, max_evals) // len(grid))
+    lower = np.empty(len(F))
+    upper = np.empty(len(F)) if r_tight is not None else None
+    for i in range(0, len(F), chunk):
+        B = bases[i:i + chunk]
+        if len(B) * len(grid) > max_evals:
+            raise BudgetError(
+                f"kernel scan of {len(B) * len(grid)} evaluations exceeds the budget")
+        lo, up = scan(B, xs[i:i + chunk, None, :])
+        lower[i:i + chunk] = lo
         if upper is not None:
-            tight = np.where((w >= r_tight) & (w <= hi), vals, np.inf)
-            upper[i:i + chunk] = np.minimum(np.min(tight, axis=1),
-                                            ring_min(min(r_tight, hi)))
+            upper[i:i + chunk] = up
     return lower, upper
 
 
@@ -171,8 +182,7 @@ def s_point(space: SpaceDescriptor, x, f, t: float,
     res = _resolution(budget, 1e-3, 0.03, space.dim)
     lo, up = _kernel_mins(space, xa[None, :], fa[None, :], t, res,
                           budget.max_evals, r_tight=t / 4.0)
-    lower = float(lo[0])
-    return Bracket(lower=lower, upper=max(float(up[0]), lower), method=GRID,
+    return Bracket(lower=float(lo[0]), upper=float(up[0]), method=GRID,
                    resolution=res, lipschitz=sharp_equiv_constants(space).C,
                    seed=budget.seed)
 
@@ -182,14 +192,8 @@ def s_point(space: SpaceDescriptor, x, f, t: float,
 
 def d_point(space: SpaceDescriptor, x, t: float,
             budget: Optional[Budget] = None) -> Bracket:
-    """Certified bracket for d(x, t) = sup over unit f of s(x, f, t).
-
-    Upper bound: for every unit f there is a grid neighbour f0 with
-    ||f - f0||* <= h; projecting a minimizer y0 of the tightened problem
-    (shell radius t/4 + h R, truncation 2 + t/4) into ker f along a norming
-    vector of f moves it by at most h R with R = 2 + t/4 and keeps it
-    feasible, so s(x, f, t) <= tight-min(f0) + h R.
-    """
+    """Certified bracket for d(x, t) = sup over unit f of s(x, f, t)
+    (see ``_d_point_bounds`` for the certificate)."""
     if not (0.0 < t < 2.0):
         raise DomainError(f"d modulus needs 0 < t < 2, got {t}")
     budget = resolve(budget)
@@ -197,39 +201,49 @@ def d_point(space: SpaceDescriptor, x, t: float,
     _require_unit(float(_norm_array(space, xa)), "x")
     res_f = _resolution(budget, 4e-3, 0.25, space.dim)
     res_i = _resolution(budget, 1.5e-3, 0.06, space.dim)
-    lower, upper = _d_point_bounds(space, xa, t, res_f, res_i, budget.max_evals)
-    return Bracket(lower=lower, upper=upper, method=GRID, resolution=res_f,
-                   lipschitz=2.0 + t / 4.0, seed=budget.seed)
-
-
-def _norming_functional(space: SpaceDescriptor, xa: np.ndarray) -> np.ndarray:
-    return support_functional(space, xa / float(_norm_array(space, xa))).array
-
-
-def _d_point_bounds(space: SpaceDescriptor, xa: np.ndarray, t: float,
-                    res_f: float, res_i: float, max_evals: int) -> tuple[float, float]:
     grid = sphere_grid(polar_space(space), res_f)
-    F = np.vstack([grid.points, _norming_functional(space, xa)])
+    lower, upper = _d_point_bounds(space, xa[None, :], grid.points, t, res_i,
+                                   budget.max_evals, covering=grid.covering)
+    return Bracket(lower=float(lower[0]), upper=float(upper[0]), method=GRID,
+                   resolution=res_f, lipschitz=2.0 + t / 4.0, seed=budget.seed)
+
+
+def _d_point_bounds(space: SpaceDescriptor, X: np.ndarray, F: np.ndarray,
+                    t: float, res_i: float, max_evals: int,
+                    covering: Optional[float] = None):
+    """Bounds on d(x, t) for each row x of X from the unit functionals in the
+    rows of F plus the norming functional of x, as (lower, upper) arrays.
+
+    Lower bound: d(x, t) >= s(x, f, t) for every unit f, and d(x, t) >= 0
+    since s(x, f, t) >= 0 at a norming f.  The upper bound, computed only
+    when F is a dual-sphere grid of covering radius ``covering`` (else
+    None): for every unit f there is a grid neighbour f0 with
+    ||f - f0||* <= h; projecting a minimizer y0 of the tightened problem
+    (shell radius t/4 + h R, truncation 2 + t/4) into ker f along a norming
+    vector of f moves it by at most h R with R = 2 + t/4 and keeps it
+    feasible, so s(x, f, t) <= tight-min(f0) + h R.
+    """
+    n, m = len(X), len(F) + 1
+    norming = _support_array(space, X / _norm_array(space, X)[:, None])
+    rows = np.concatenate([np.broadcast_to(F, (n,) + F.shape),
+                           norming[:, None, :]], axis=1).reshape(n * m, X.shape[1])
     R_t = 2.0 + t / 4.0
-    lo, up = _kernel_mins(space, np.broadcast_to(xa, F.shape), F, t, res_i,
-                          max_evals, r_tight=t / 4.0 + grid.covering * R_t)
-    # d(x, t) >= 0 always: the duality map of x is nonempty and s(x, f, t) >= 0
-    # for any norming f
-    lower = max(float(np.max(lo)), 0.0)
-    upper = float(np.max(up)) + grid.covering * R_t
-    return lower, max(upper, lower)
+    r_tight = None if covering is None else t / 4.0 + covering * R_t
+    lo, up = _kernel_mins(space, np.repeat(X, m, axis=0), rows, t, res_i,
+                          max_evals, r_tight=r_tight)
+    lower = np.maximum(lo.reshape(n, m).max(axis=1), 0.0)
+    if up is None:
+        return lower, None
+    return lower, up.reshape(n, m).max(axis=1) + covering * R_t
 
 
-def _d_lower_cheap(space: SpaceDescriptor, xa: np.ndarray, t: float,
+def _d_lower_cheap(space: SpaceDescriptor, X: np.ndarray, t: float,
                    res_i: float, max_evals: int, n_extra: int = 32,
-                   seed: int = 0) -> float:
-    """Rigorous lower bound for d(x, t) from the norming functional plus a
-    small sample of dual directions (each f gives d >= s(x, f, t))."""
-    F = _norming_functional(space, xa)[None, :]
-    if n_extra:
-        F = np.vstack([F, lowdisc_sphere(polar_space(space), n_extra, seed=seed)])
-    lo, _ = _kernel_mins(space, np.broadcast_to(xa, F.shape), F, t, res_i, max_evals)
-    return max(0.0, float(np.max(lo)))  # d(x, t) >= 0 unconditionally
+                   seed: int = 0) -> np.ndarray:
+    """Rigorous lower bounds on d(x, t), one per row x of X, from the norming
+    functional plus a small sample of dual directions."""
+    extra = lowdisc_sphere(polar_space(space), n_extra, seed=seed)
+    return _d_point_bounds(space, X, extra, t, res_i, max_evals)[0]
 
 
 def d_global(space: SpaceDescriptor, t: float,
@@ -246,15 +260,12 @@ def d_global(space: SpaceDescriptor, t: float,
     res_x = _resolution(budget, 2e-3, 0.12, space.dim)
     res_i = _resolution(budget, 1.5e-3, 0.05, space.dim)
     grid = sphere_grid(space, res_x)
-    h_x = grid.covering
-    lows = np.array([
-        _d_lower_cheap(space, xa, t, res_i, budget.max_evals,
-                       n_extra=0, seed=budget.seed)
-        for xa in grid.points])
+    lows = _d_lower_cheap(space, grid.points, t, res_i, budget.max_evals,
+                          n_extra=0, seed=budget.seed)
     i_best = int(np.argmin(lows))
-    lower = max(0.0, float(np.min(lows)) - h_x)
+    lower = max(0.0, float(lows[i_best]) - grid.covering)
     upper = d_point(space, grid.points[i_best], t, budget).upper
-    return Bracket(lower=lower, upper=max(upper, lower), method=GRID,
+    return Bracket(lower=lower, upper=upper, method=GRID,
                    resolution=res_x, lipschitz=1.0, seed=budget.seed)
 
 
@@ -289,10 +300,11 @@ def d_star_zero(space: SpaceDescriptor, f, t: float,
 
     Lower bound: g = f is always admissible, plus a strict-interior sample
     at radius <= t(1 - 1e-6).  Upper bound: d*(., t) is 1-Lipschitz in g, so
-    a covering of the closed neighbourhood certifies the sup.  The d* upper
-    scan at each cover point runs at fixed resolutions (dual grid 0.02,
-    kernel 5e-3 in 2-D; 0.3 and 0.08 in 3-D), whatever ``budget.resolution``
-    says; only the cover and the lower bound follow the budget.
+    a covering of the closed neighbourhood certifies the sup; the cover
+    point nearest f is always in it.  The d* upper scan at each cover point
+    runs at fixed resolutions (dual grid 0.02, kernel 5e-3 in 2-D; 0.3 and
+    0.08 in 3-D), whatever ``budget.resolution`` says; only the cover and
+    the lower bound follow the budget.
     """
     if not (0.0 < t < 2.0):
         raise DomainError(f"d*0 needs 0 < t < 2, got {t}")
@@ -303,23 +315,17 @@ def d_star_zero(space: SpaceDescriptor, f, t: float,
     lower = d_point(W, fa, t, budget).lower
     res_i = _resolution(budget, 2e-3, 0.05, W.dim)
     inner = lowdisc_sphere(W, 64, seed=budget.seed)
-    dist = _norm_array(W, inner - fa)
-    for ga in inner[dist <= t * (1.0 - 1e-6)][:8]:
-        lower = max(lower, _d_lower_cheap(W, ga, t, res_i, budget.max_evals,
-                                          seed=budget.seed))
+    near = inner[_norm_array(W, inner - fa) <= t * (1.0 - 1e-6)][:8]
+    lower = float(np.max(_d_lower_cheap(W, near, t, res_i, budget.max_evals,
+                                        seed=budget.seed), initial=lower))
     res_g = _resolution(budget, 0.05, 0.2, W.dim)
     cover = sphere_grid(W, res_g)
     h_g = cover.covering
     sel = cover.points[_norm_array(W, cover.points - fa) <= t + h_g]
-    upper = -math.inf
-    for ga in sel:
-        _, up = _d_point_bounds(W, ga, t,
-                                0.02 if W.dim == 2 else 0.3,
-                                5e-3 if W.dim == 2 else 0.08,
-                                budget.max_evals)
-        upper = max(upper, up)
-    upper = (upper + h_g) if math.isfinite(upper) else lower
-    return Bracket(lower=lower, upper=max(upper, lower), method=GRID,
+    dual = sphere_grid(polar_space(W), 0.02 if W.dim == 2 else 0.3)
+    _, up = _d_point_bounds(W, sel, dual.points, t, 5e-3 if W.dim == 2 else 0.08,
+                            budget.max_evals, covering=dual.covering)
+    return Bracket(lower=lower, upper=float(np.max(up)) + h_g, method=GRID,
                    resolution=res_g, lipschitz=1.0, seed=budget.seed)
 
 
@@ -330,6 +336,7 @@ def d_star_zero_global(space: SpaceDescriptor, t: float,
     Lower bound: for any unit f with grid neighbour f0 at distance <= h,
     every g with ||g - f0|| <= t - h satisfies ||g - f|| <= t, hence
     d*0(f, t) >= max over such sampled g of a certified d*(g, t) lower bound.
+    The scan stops at the first f0 whose bound is 0.
     """
     if not (0.0 < t < 2.0):
         raise DomainError(f"d*0 needs 0 < t < 2, got {t}")
@@ -344,14 +351,12 @@ def d_star_zero_global(space: SpaceDescriptor, t: float,
     for fa in grid.points:
         near = sample[_norm_array(W, sample - fa) <= max(t - h_f, 0.0) * (1.0 - 1e-9)]
         cand = np.vstack([fa[None, :], near[:4]])
-        best = max(_d_lower_cheap(W, ga, t, res_i, budget.max_evals,
-                                  seed=budget.seed) for ga in cand)
-        lower = min(lower, best)
+        lows = _d_lower_cheap(W, cand, t, res_i, budget.max_evals, seed=budget.seed)
+        lower = min(lower, float(np.max(lows)))
         if lower <= 0.0:
             break
-    lower = max(0.0, lower if math.isfinite(lower) else 0.0)
     # upper bound: d*0(t) <= d*0(f, t) at any sampled f
     probes = lowdisc_sphere(W, 4, seed=budget.seed + 1)
     upper = min(d_star_zero(space, fa, t, budget).upper for fa in probes)
-    return Bracket(lower=lower, upper=max(upper, lower), method=GRID,
+    return Bracket(lower=lower, upper=upper, method=GRID,
                    resolution=res_f, lipschitz=1.0, seed=budget.seed)

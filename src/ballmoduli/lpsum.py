@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bracket import ModulusCurve
-from .config import Budget
 from .errors import DomainError
 from .spaces import (Point, SpaceDescriptor, duality_preimage, polar_space,
                      _norm_array)
@@ -66,8 +65,7 @@ class ComponentModuli:
         return max(out, 0.0)
 
 
-def witness_functional(sum_space: SpaceDescriptor, f,
-                       budget: Optional[Budget] = None) -> Point:
+def witness_functional(sum_space: SpaceDescriptor, f) -> Point:
     """The unit vector z with blocks ||f_i||^(q/p) x_i, where x_i norms the
     i-th block direction of the unit functional f."""
     if sum_space.kind != "lp-sum":

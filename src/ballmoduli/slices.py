@@ -78,7 +78,7 @@ def slice_diameter(space: SpaceDescriptor, slc: Slice,
     feas = grid.points[vals >= alpha]
     lower = _max_pair(W, feas)
     upper = (_max_pair(W, relax) + 2.0 * h) if len(relax) else 0.0
-    return Bracket(lower=lower, upper=max(upper, lower), method=GRID,
+    return Bracket(lower=lower, upper=upper, method=GRID,
                    resolution=res, lipschitz=1.0, seed=budget.seed)
 
 

@@ -98,12 +98,14 @@ class SpaceDescriptor:
 
     @cached_property
     def _dual_vertices(self) -> np.ndarray:
-        """Vertices of the dual polytope: the distinct facet functionals."""
+        """Vertices of the dual polytope: the distinct facet functionals, in
+        lexicographic order."""
         out: list[np.ndarray] = []
         for row in self.facets:
             if not any(np.allclose(row, r, atol=1e-10) for r in out):
                 out.append(row)
-        return np.array(out)
+        V = np.array(out)
+        return V[np.lexsort(V.T[::-1])]
 
     @cached_property
     def block_slices(self) -> tuple[slice, ...]:
@@ -320,7 +322,7 @@ def polar_space(space: SpaceDescriptor) -> SpaceDescriptor:
 # -- support mapping -------------------------------------------------------
 
 
-def support_functional(space: SpaceDescriptor, x, tol: float = 1e-9) -> Point:
+def support_functional(space: SpaceDescriptor, x) -> Point:
     """A deterministic selection from the duality map of a unit vector.
 
     Returns f with dual_norm(f) = 1 and f(x) = 1.  At non-smooth points of
@@ -328,45 +330,47 @@ def support_functional(space: SpaceDescriptor, x, tol: float = 1e-9) -> Point:
     norming vertex of the dual polytope.
     """
     a = _coords(x, space, "primal")
-    if abs(_norm_array(space, a) - 1.0) > max(tol, 1e-9):
+    if abs(_norm_array(space, a) - 1.0) > 1e-9:
         raise DomainError("support_functional requires a unit-norm point")
-    f = _support_array(space, a)
-    return Point.of(space, f, side="dual")
+    return Point.of(space, _support_array(space, a), side="dual")
 
 
 def _support_array(space: SpaceDescriptor, a: np.ndarray) -> np.ndarray:
+    """``support_functional``'s selection for unit vectors in the rows of a
+    (..., dim) array, unvalidated.  A polyhedral row gets the first (in
+    lexicographic order) dual vertex v with a . v >= min(||a||, 1) - 1e-9,
+    where ||a|| is the max of a . v over the dual vertices; the threshold
+    never exceeds that max, so the pick norms a to within 1e-9."""
     if space.kind == "lp":
         return np.sign(a) * np.abs(a) ** (space.p - 1.0)
     if space.kind == "weighted-lp":
         w = np.asarray(space.weights)
         return w * np.sign(a) * np.abs(a) ** (space.p - 1.0)
     if space.kind == "polyhedral":
-        W = space._dual_vertices
-        vals = W @ a
-        feasible = W[vals >= 1.0 - 1e-9]
-        if len(feasible) == 0:  # numerical guard; take the best available
-            feasible = W[[int(np.argmax(vals))]]
-        order = sorted(range(len(feasible)), key=lambda i: tuple(feasible[i]))
-        return feasible[order[0]]
+        V = space._dual_vertices
+        vals = a @ V.T
+        top = np.minimum(vals.max(axis=-1, keepdims=True), 1.0)
+        return V[np.argmax(vals >= top - 1e-9, axis=-1)]
     if space.kind == "lp-sum":
         out = np.zeros_like(a)
         for c, s in zip(space.components, space.block_slices):
-            block = a[s]
-            nb = float(_norm_array(c, block))
-            if nb > 1e-15:
-                out[s] = nb ** (space.p - 1.0) * _support_array(c, block / nb)
+            block = a[..., s]
+            nb = _norm_array(c, block)[..., None]
+            live = nb > 1e-15
+            g = _support_array(c, block / np.where(live, nb, 1.0))
+            out[..., s] = np.where(live, nb ** (space.p - 1.0) * g, 0.0)
         return out
     raise DescriptorError(space.kind)
 
 
-def duality_preimage(space: SpaceDescriptor, f, tol: float = 1e-9) -> Point:
+def duality_preimage(space: SpaceDescriptor, f) -> Point:
     """A unit vector x with f(x) = 1 for a unit functional f.
 
     Uses reflexivity: the norming point of f is the support functional of f
     computed in the polar space.
     """
     a = _coords(f, space, "dual")
-    g = support_functional(polar_space(space), a, tol=tol)
+    g = support_functional(polar_space(space), a)
     return Point.of(space, g.coords, side="primal")
 
 

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
-from ballmoduli import (DomainError, beta_global, beta_point, beta_sup,
-                        is_euclidean, lp_space, make_lp_sum, preset)
+from ballmoduli import (Budget, DomainError, beta_global, beta_point, beta_sup,
+                        dual_norm, duality_preimage, is_euclidean, lp_space,
+                        make_lp_sum, preset, weighted_lp_space)
+from ballmoduli import beta
 
 
 class TestBetaPoint:
@@ -25,6 +28,22 @@ class TestBetaPoint:
         b3 = beta_point(preset("l2-3"), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.5)
         assert b3.overlaps(b2)
         assert b3.width <= 5e-3
+        # a weighted l2 norm is an inner-product norm too; at a norming pair
+        # beta(f, x, t) = t^2 / 2
+        space = weighted_lp_space(2.0, (1.0, 4.0, 9.0))
+        f = np.array([1.0, 1.0, 1.0])
+        f = f / dual_norm(space, f)
+        b = beta_point(space, f, duality_preimage(space, f), 0.5,
+                       Budget(resolution=5e-3))
+        assert b.contains(0.125)
+
+    def test_inverted_candidates_raise(self, monkeypatch):
+        x = np.array([1.0, 0.0])
+        # feasible g = x gives upper 0; relaxed g = -x gives lower 2 - h
+        monkeypatch.setattr(beta, "_candidate_surfaces",
+                            lambda W, fa, t, res: (x[None, :], -x[None, :], 1e-3))
+        with pytest.raises(ValueError, match="exceeds upper"):
+            beta_point(preset("lp:1.5-2d"), (1.0, 0.0), x, 0.5)
 
     def test_domain_and_units(self):
         with pytest.raises(DomainError):

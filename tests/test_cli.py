@@ -53,6 +53,12 @@ class TestCompute:
                       "--modulus", "delta")
         assert code == 2
 
+    def test_non_positive_budget_exits_2(self, capsys):
+        for bad in ("0", "-5"):
+            code, _ = run(capsys, "compute", "--space", "l2-2",
+                          "--modulus", "delta", "--t", "1", "--budget", bad)
+            assert code == 2
+
     def test_tiny_budget_exits_3(self, capsys):
         code, _ = run(capsys, "compute", "--space", "l2-2",
                       "--modulus", "delta", "--t", "1", "--budget", "100")

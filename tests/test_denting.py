@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from ballmoduli import (Budget, DomainError, d_global, d_point, d_star,
                         d_star_global, d_star_zero, d_star_zero_global,
-                        modulus_convexity, preset, s_point, s_star)
+                        modulus_convexity, polar_space, preset, s_point, s_star)
+from ballmoduli import denting
+from ballmoduli.gridutil import lowdisc_sphere, sphere_grid
 
 S_PIN = math.sqrt(17.0) / 4.0 - 1.0  # inf over the kernel line in the plane
 DELTA_PIN = 1.0 - math.sqrt(3.0) / 2.0
@@ -60,6 +63,12 @@ class TestSPoint:
         with pytest.raises(DomainError):
             s_point(preset("l2-2"), (1.0, 0.0), (2.0, 0.0), 1.0)
 
+    def test_inverted_kernel_minima_raise(self, monkeypatch):
+        monkeypatch.setattr(denting, "_kernel_mins",
+                            lambda *a, **k: (np.array([0.5]), np.array([0.1])))
+        with pytest.raises(ValueError, match="exceeds upper"):
+            s_point(preset("l2-2"), (1.0, 0.0), (1.0, 0.0), 1.0)
+
 
 class TestDPoint:
     def test_euclidean_matches_norming_direction(self):
@@ -84,6 +93,41 @@ class TestDPoint:
         assert b.lower <= S_PIN <= b.upper
 
 
+class TestBatchedBounds:
+    """The d-family helpers on several base points at once equal the same
+    calls one base point at a time, exactly."""
+
+    @pytest.mark.parametrize("name,res", [("lp:1.5-2d", 4e-2), ("l1-2d", 4e-2),
+                                          ("l2-3", 0.3)])
+    def test_rows_match_single_calls(self, name, res):
+        space = preset(name)
+        X = sphere_grid(space, 0.5).points[:5]
+        dual = sphere_grid(polar_space(space), 2 * res)
+        lo, up = denting._d_point_bounds(space, X, dual.points, 0.7, res,
+                                         10 ** 9, covering=dual.covering)
+        cheap = denting._d_lower_cheap(space, X, 0.7, res, 10 ** 9, n_extra=8)
+        for i, x in enumerate(X):
+            lo1, up1 = denting._d_point_bounds(space, X[i:i + 1], dual.points,
+                                               0.7, res, 10 ** 9,
+                                               covering=dual.covering)
+            assert (lo1[0], up1[0]) == (lo[i], up[i])
+            assert denting._d_lower_cheap(space, x[None, :], 0.7, res, 10 ** 9,
+                                          n_extra=8)[0] == cheap[i]
+        assert np.all(lo <= up) and np.all(cheap <= up)
+        assert denting._d_point_bounds(space, X, dual.points, 0.7, res,
+                                       10 ** 9)[1] is None
+
+    @pytest.mark.parametrize("name", ["lp:1.5-2d", "l2-3"])
+    def test_no_rows_give_empty_bounds(self, name):
+        space = preset(name)
+        X = np.empty((0, space.dim))
+        dual = sphere_grid(polar_space(space), 0.6)
+        lo, up = denting._d_point_bounds(space, X, dual.points, 0.7, 0.3,
+                                         10 ** 9, covering=dual.covering)
+        assert lo.shape == up.shape == (0,)
+        assert denting._d_lower_cheap(space, X, 0.7, 0.3, 10 ** 9).shape == (0,)
+
+
 class TestDGlobal:
     def test_euclidean_rotation_invariance(self):
         b = d_global(preset("l2-2"), 1.0)
@@ -97,6 +141,14 @@ class TestDGlobal:
     def test_cross_polytope_vanishes(self):
         b = d_global(preset("l1-2d"), 0.5)
         assert b.lower == 0.0
+
+    def test_small_budget_scans_in_smaller_chunks(self):
+        # max_evals caps each chunk of kernel rows, not the whole sweep, and
+        # the bracket does not depend on how the rows are chunked
+        space = preset("lp:1.5-2d")
+        small = d_global(space, 0.7, Budget(resolution=4e-2, max_evals=500))
+        full = d_global(space, 0.7, Budget(resolution=4e-2))
+        assert (small.lower, small.upper) == (full.lower, full.upper)
 
 
 class TestDualFamily:
@@ -125,6 +177,18 @@ class TestDStarZero:
         dz = d_star_zero(space, (1.0, 0.0), 0.5)
         ds = d_star(space, (1.0, 0.0), 0.5)
         assert dz.upper >= ds.lower - 1e-9
+
+    def test_small_radius_without_interior_samples(self):
+        # no point of the 64-point interior sample lies within t of f, so
+        # the lower bound is d*(f, t) alone
+        space = preset("l2-2")
+        f = np.array([math.cos(0.3), math.sin(0.3)])
+        inner = lowdisc_sphere(space, 64, seed=0)
+        assert np.min(np.linalg.norm(inner - f, axis=1)) > 0.01
+        coarse = Budget(resolution=4e-2)
+        b = d_star_zero(space, f, 0.01, coarse)
+        assert b.lower == d_star(space, f, 0.01, coarse).lower
+        assert b.lower <= b.upper
 
     def test_flat_neighborhood_vanishes(self):
         b = d_star_zero(preset("l1-2d"), (1.0, 0.0), 0.5)

@@ -13,6 +13,7 @@ from ballmoduli import (Bracket, Budget, Slice, beta_point, beta_sup, dual_norm,
                         witness_functional)
 from ballmoduli import oracle
 from ballmoduli.exactpoly import Polygon
+from ballmoduli.spaces import _support_array
 
 PRESETS = ["l2-2", "l2-3", "lp:1.5-2d", "lp:3-2d", "l1-2d", "linf-2d",
            "square-rot", "l2sum-4"]
@@ -57,17 +58,21 @@ class TestNormAxioms:
 
 
 class TestDualityMaps:
-    @given(space_and_vectors(1))
+    @given(space_and_vectors(3))
     @settings(max_examples=60, deadline=None)
     def test_support_functional_attains(self, data):
-        space, (u,) = data
-        n = norm(space, u)
-        if n < 1e-6:
+        space, us = data
+        xs = [u / norm(space, u) for u in us if norm(space, u) >= 1e-6]
+        if not xs:
             return
-        x = u / n
-        f = support_functional(space, x)
-        assert pairing(f.array, x) == pytest.approx(1.0, abs=1e-7)
-        assert dual_norm(space, f.array) == pytest.approx(1.0, abs=1e-7)
+        fs = []
+        for x in xs:
+            f = support_functional(space, x)
+            assert pairing(f.array, x) == pytest.approx(1.0, abs=1e-7)
+            assert dual_norm(space, f.array) == pytest.approx(1.0, abs=1e-7)
+            fs.append(f.array)
+        # the array path selects the same functional for each stacked row
+        assert np.array_equal(_support_array(space, np.stack(xs)), np.stack(fs))
 
     @given(vectors(4))
     @settings(max_examples=60, deadline=None)

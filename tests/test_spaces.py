@@ -9,7 +9,7 @@ from ballmoduli import (DescriptorError, DimensionMismatchError, Point,
                         norm, pairing, polar_space, polyhedral_space, preset,
                         support_functional, weighted_lp_space)
 from ballmoduli.gridutil import lowdisc_sphere, sphere_grid
-from ballmoduli.spaces import exact_vertices, kernel_frame
+from ballmoduli.spaces import _support_array, exact_vertices, kernel_frame
 
 
 class TestNorms:
@@ -125,6 +125,34 @@ class TestDualityMaps:
             x = duality_preimage(space, f)
             assert norm(space, x.array) == pytest.approx(1.0, abs=1e-7)
             assert pairing(f, x.array) == pytest.approx(1.0, abs=1e-7)
+
+    def test_cross_polytope_vertices_pick_the_least_norming_vertex(self):
+        # each vertex of the l1 ball is normed by two dual vertices
+        space = preset("l1-2d")
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        want = np.array([[1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0], [-1.0, -1.0]])
+        for x, w in zip(X, want):
+            assert support_functional(space, x).coords == tuple(w)
+        assert np.array_equal(_support_array(space, X), want)
+
+    def test_sub_unit_row_gets_a_norming_vertex(self):
+        # ||a|| = 1/2 is below the 1 - 1e-9 threshold: the pick still norms a
+        space = preset("l1-2d")
+        a = np.array([[0.5, 0.0], [0.0, -0.5]])
+        f = _support_array(space, a)
+        assert np.array_equal(f, [[1.0, -1.0], [-1.0, -1.0]])
+        assert np.array_equal(np.sum(a * f, axis=1), [0.5, 0.5])
+
+    def test_lp_sum_zero_block(self):
+        space = preset("lpsum:3:l1-2d+lp:1.5-2d")
+        x = np.array([0.0, 0.0, 0.6, -0.8])
+        x = x / norm(space, x)
+        f = support_functional(space, x).array
+        assert np.array_equal(f[:2], [0.0, 0.0])
+        assert pairing(f, x) == pytest.approx(1.0, abs=1e-12)
+        assert dual_norm(space, f) == pytest.approx(1.0, abs=1e-12)
+        X = np.stack([x, np.array([1.0, 0.0, 0.0, 0.0])])
+        assert np.array_equal(_support_array(space, X)[0], f)
 
     def test_kernel_frame_annihilates_f(self, rng):
         space = lp_space(3, 2.0)
