@@ -17,11 +17,11 @@ import numpy as np
 
 from .bracket import GRID, Bracket, ModulusCurve
 from .config import Budget, resolve
-from .denting import _resolution, _vec
+from .denting import _resolution
 from .errors import DomainError
-from .gridutil import lowdisc_sphere, sphere_grid
+from .gridutil import sphere_grid
 from .spaces import (SpaceDescriptor, duality_preimage, lp_space, polar_space,
-                     _dual_norm_array, _norm_array)
+                     _norm_array, _unit_coords)
 
 
 def is_euclidean(space: SpaceDescriptor) -> bool:
@@ -65,12 +65,9 @@ def beta_point(space: SpaceDescriptor, f, x, t: float,
     """Certified bracket for beta(f, x, t)."""
     _check_beta_domain(t)
     budget = resolve(budget)
-    fa, xa = _vec(f), _vec(x)
+    fa = _unit_coords(space, f, "dual", "f")
+    xa = _unit_coords(space, x, "primal", "x")
     W = polar_space(space)
-    if abs(float(_norm_array(W, fa)) - 1.0) > 1e-6:
-        raise DomainError("f must be a unit functional")
-    if abs(float(_norm_array(space, xa)) - 1.0) > 1e-6:
-        raise DomainError("x must be a unit vector")
     if is_euclidean(space) and space.dim > 2:
         return _beta_point_euclidean(fa, xa, t, budget)
     res = _resolution(budget, 1e-3, 0.05, W.dim)
@@ -103,13 +100,10 @@ def beta_sup(space: SpaceDescriptor, f, t: float,
     """
     _check_beta_domain(t)
     budget = resolve(budget)
-    fa = _vec(f)
-    W = polar_space(space)
-    if abs(float(_norm_array(W, fa)) - 1.0) > 1e-6:
-        raise DomainError("f must be a unit functional")
+    fa = _unit_coords(space, f, "dual", "f")
     if is_euclidean(space):
         return _beta_sup_euclidean(t, budget)
-    return _beta_sup_grid(space, W, fa, t, budget)
+    return _beta_sup_grid(space, polar_space(space), fa, t, budget)
 
 
 def _beta_sup_grid(space: SpaceDescriptor, W: SpaceDescriptor, fa: np.ndarray,
@@ -169,8 +163,7 @@ def _beta_global_single(space: SpaceDescriptor, t: float, budget: Budget) -> Bra
     fgrid = sphere_grid(W, res_f)
     h_f = fgrid.covering
     inner = budget.with_resolution(
-        budget.resolution if budget.resolution is not None
-        else ((0.02 if exact_2d else 8e-3) if W.dim == 2 else 0.1))
+        _resolution(budget, 0.02 if exact_2d else 8e-3, 0.1, W.dim))
     lower = math.inf
     upper = math.inf
     t_relax = max(t - h_f, 1e-9)

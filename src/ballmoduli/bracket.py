@@ -26,7 +26,7 @@ class Bracket:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.lower > self.upper + 1e-15:
+        if not self.lower <= self.upper + 1e-15:
             raise ValueError(f"bracket lower {self.lower} exceeds upper {self.upper}")
         if self.method == GRID and self.lipschitz is None:
             raise ValueError("grid-certified brackets must record the Lipschitz constant")

@@ -18,21 +18,8 @@ from .bracket import GRID, Bracket
 from .config import Budget, resolve
 from .errors import BudgetError, DomainError
 from .gridutil import lowdisc_sphere, sharp_equiv_constants, sphere_grid
-from .spaces import (Point, SpaceDescriptor, kernel_frame, polar_space,
-                     _dual_norm_array, _norm_array, _support_array)
-
-_UNIT_TOL = 1e-6
-
-
-def _vec(v) -> np.ndarray:
-    if isinstance(v, Point):
-        return v.array
-    return np.asarray(v, dtype=float)
-
-
-def _require_unit(value: float, name: str, tol: float = _UNIT_TOL) -> None:
-    if abs(value - 1.0) > tol:
-        raise DomainError(f"{name} must have norm 1, got {value}")
+from .spaces import (SpaceDescriptor, kernel_frame, polar_space, _norm_array,
+                     _support_array, _unit_coords)
 
 
 def _resolution(budget: Budget, default2: float, default3: float, dim: int) -> float:
@@ -176,9 +163,8 @@ def s_point(space: SpaceDescriptor, x, f, t: float,
     if not (0.0 < t < 2.0):
         raise DomainError(f"s modulus needs 0 < t < 2, got {t}")
     budget = resolve(budget)
-    xa, fa = _vec(x), _vec(f)
-    _require_unit(float(_norm_array(space, xa)), "x")
-    _require_unit(float(_dual_norm_array(space, fa)), "f")
+    xa = _unit_coords(space, x, "primal", "x")
+    fa = _unit_coords(space, f, "dual", "f")
     res = _resolution(budget, 1e-3, 0.03, space.dim)
     lo, up = _kernel_mins(space, xa[None, :], fa[None, :], t, res,
                           budget.max_evals, r_tight=t / 4.0)
@@ -197,8 +183,7 @@ def d_point(space: SpaceDescriptor, x, t: float,
     if not (0.0 < t < 2.0):
         raise DomainError(f"d modulus needs 0 < t < 2, got {t}")
     budget = resolve(budget)
-    xa = _vec(x)
-    _require_unit(float(_norm_array(space, xa)), "x")
+    xa = _unit_coords(space, x, "primal", "x")
     res_f = _resolution(budget, 4e-3, 0.25, space.dim)
     res_i = _resolution(budget, 1.5e-3, 0.06, space.dim)
     grid = sphere_grid(polar_space(space), res_f)
@@ -276,15 +261,14 @@ def s_star(space: SpaceDescriptor, f, x, t: float,
            budget: Optional[Budget] = None) -> Bracket:
     """s*(f, x, t): the s-modulus of the dual ball, computed in the polar
     space with x acting as a functional on X* (reflexivity)."""
-    W = polar_space(space)
-    return s_point(W, _vec(f), _vec(x), t, budget)
+    return s_point(polar_space(space), _unit_coords(space, f, "dual", "f"),
+                   _unit_coords(space, x, "primal", "x"), t, budget)
 
 
 def d_star(space: SpaceDescriptor, f, t: float,
            budget: Optional[Budget] = None) -> Bracket:
     """d*(f, t) = sup over unit x of s*(f, x, t)."""
-    W = polar_space(space)
-    return d_point(W, _vec(f), t, budget)
+    return d_point(polar_space(space), _unit_coords(space, f, "dual", "f"), t, budget)
 
 
 def d_star_global(space: SpaceDescriptor, t: float,
@@ -310,8 +294,7 @@ def d_star_zero(space: SpaceDescriptor, f, t: float,
         raise DomainError(f"d*0 needs 0 < t < 2, got {t}")
     budget = resolve(budget)
     W = polar_space(space)
-    fa = _vec(f)
-    _require_unit(float(_norm_array(W, fa)), "f")
+    fa = _unit_coords(space, f, "dual", "f")
     lower = d_point(W, fa, t, budget).lower
     res_i = _resolution(budget, 2e-3, 0.05, W.dim)
     inner = lowdisc_sphere(W, 64, seed=budget.seed)

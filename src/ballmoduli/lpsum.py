@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .bracket import ModulusCurve
 from .errors import DomainError
 from .spaces import (Point, SpaceDescriptor, duality_preimage, polar_space,
-                     _norm_array)
+                     _norm_array, _unit_coords)
 
 
 def delta_q_lower(q: float, eps: float) -> float:
@@ -70,13 +69,7 @@ def witness_functional(sum_space: SpaceDescriptor, f) -> Point:
     i-th block direction of the unit functional f."""
     if sum_space.kind != "lp-sum":
         raise DomainError("witness_functional requires an lp-sum space")
-    fa = f.array if isinstance(f, Point) else np.asarray(f, dtype=float)
-    W = polar_space(sum_space)
-    nf = float(_norm_array(W, fa))
-    if nf < 1e-12:
-        raise DomainError("f must be nonzero")
-    if abs(nf - 1.0) > 1e-6:
-        raise DomainError("f must be a unit functional of the sum")
+    fa = _unit_coords(sum_space, f, "dual", "f")
     p, q = sum_space.p, sum_space.q
     z = np.zeros(sum_space.dim)
     for comp, s in zip(sum_space.components, sum_space.block_slices):

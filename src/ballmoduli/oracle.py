@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -28,22 +27,19 @@ _MAX_EVALS = 100_000_000
 # -- plain grids ------------------------------------------------------------
 
 
-def _consts(space: SpaceDescriptor, dual: bool = False) -> tuple[float, float]:
+def _consts(space: SpaceDescriptor) -> tuple[float, float]:
     d = space.dim
     E = np.eye(d)
-    n1 = _dual_norm_array if dual else _norm_array
-    n2 = _norm_array if dual else _dual_norm_array
-    C = math.sqrt(d) * float(np.max(n1(space, E)))
-    c = 1.0 / (math.sqrt(d) * float(np.max(n2(space, E))))
+    C = math.sqrt(d) * float(np.max(_norm_array(space, E)))
+    c = 1.0 / (math.sqrt(d) * float(np.max(_dual_norm_array(space, E))))
     return c, C
 
 
-def _sphere(space: SpaceDescriptor, resolution: float,
-            dual: bool = False) -> tuple[np.ndarray, float]:
-    """(points, covering) on the unit sphere, brute-force flavour."""
-    c, C = _consts(space, dual)
+def _sphere(space: SpaceDescriptor, resolution: float) -> tuple[np.ndarray, float]:
+    """(points, covering) on the unit sphere, brute-force flavour; the dual
+    sphere is ``_sphere(polar_space(space), resolution)``."""
+    c, C = _consts(space)
     L = 2.0 * C / c
-    norm_fn = _dual_norm_array if dual else _norm_array
     if space.dim == 2:
         n = max(8, int(math.ceil(math.pi * L / resolution)))
         n += n % 2  # keep antipodal pairs exact
@@ -63,7 +59,7 @@ def _sphere(space: SpaceDescriptor, resolution: float,
         dirs, h = V, L * r
     else:
         raise DomainError("the oracle grid is limited to dimension <= 3")
-    pts = dirs / norm_fn(space, dirs)[:, None]
+    pts = dirs / _norm_array(space, dirs)[:, None]
     return pts, h
 
 
@@ -140,7 +136,7 @@ def _g_d(space, resolution, *, x, t):
     if space.dim != 2:
         raise DomainError("oracle d grid implemented for dimension 2")
     xa = np.asarray(x, float)
-    F, h_f = _sphere(space, resolution * 4.0, dual=True)
+    F, h_f = _sphere(polar_space(space), resolution * 4.0)
     # moving a minimizer (norm <= 2 + t/4 + margin) from ker f0 into ker f
     # costs at most h_f * (3 + t/4); tighten the shell by the same amount
     m = h_f * (3.0 + t / 4.0)

@@ -18,11 +18,11 @@ from scipy.optimize import minimize
 
 from .bracket import GRID, MULTISTART, Bracket
 from .config import Budget, resolve
-from .denting import modulus_convexity, _resolution, _vec
+from .denting import modulus_convexity, _resolution
 from .errors import BallConstructionError, DomainError
 from .gridutil import lowdisc_sphere, sphere_grid
 from .spaces import (Point, SpaceDescriptor, duality_preimage, polar_space,
-                     _dual_norm_array, _norm_array)
+                     _coords, _dual_norm_array, _norm_array, _unit_coords)
 
 _PAIR_CHUNK = 1024  # _max_pair's difference blocks hold _PAIR_CHUNK * n points
 
@@ -62,12 +62,9 @@ def slice_diameter(space: SpaceDescriptor, slc: Slice,
     """
     budget = resolve(budget)
     W = _ball_space(space, slc.ball_side)
-    v = np.asarray(slc.direction, dtype=float)
-    nv = float(_dual_norm_array(W, v))
-    if abs(nv - 1.0) > 1e-6:
-        raise DomainError(f"slice direction must be a unit functional, norm {nv}")
+    v = _unit_coords(W, slc.direction, "dual", "direction")
     alpha = slc.threshold
-    if alpha >= nv:
+    if alpha >= float(_dual_norm_array(W, v)):
         return Bracket.exact(0.0)
     res = _resolution(budget, 1e-3, 0.05, W.dim)
     grid = sphere_grid(W, res)
@@ -155,9 +152,7 @@ def _has_witness_slice(space: SpaceDescriptor, W: SpaceDescriptor,
         return True  # the origin lies in every slice; small slices exist
     dirs = [duality_preimage(space, fr / r).array]
     dirs.extend(lowdisc_sphere(space, 12, seed=budget.seed + 1))
-    slice_budget = budget.with_resolution(
-        budget.resolution if budget.resolution is not None
-        else (5e-3 if W.dim == 2 else 0.08))
+    slice_budget = budget.with_resolution(_resolution(budget, 5e-3, 0.08, W.dim))
     for xa in dirs:
         v = float(fr @ xa)
         if v <= 0.0:
@@ -218,13 +213,10 @@ def construct_separating_ball(space: SpaceDescriptor, C: Sequence[Sequence[float
     violation raises BallConstructionError with the failed condition.
     """
     budget = resolve(budget)
-    fa = _vec(f)
-    nf = float(_dual_norm_array(space, fa))
-    if abs(nf - 1.0) > 1e-6:
-        raise DomainError("f must be a unit functional")
-    V = np.asarray(C, dtype=float)
-    if V.ndim != 2 or V.shape[1] != space.dim:
-        raise DomainError("C must be a nonempty vertex list of matching dimension")
+    fa = _unit_coords(space, f, "dual", "f")
+    V = _coords(C, space, "primal")
+    if V.ndim != 2 or len(V) == 0:
+        raise DomainError("C must be a nonempty vertex list")
     if eps <= 0.0:
         raise DomainError("eps must be positive")
     norms = _norm_array(space, V)
@@ -241,9 +233,7 @@ def construct_separating_ball(space: SpaceDescriptor, C: Sequence[Sequence[float
 
     eta = None
     gamma = None
-    slice_budget = budget.with_resolution(
-        budget.resolution if budget.resolution is not None
-        else (5e-4 if space.dim == 2 else 0.02))
+    slice_budget = budget.with_resolution(_resolution(budget, 5e-4, 0.02, space.dim))
     for j in range(1, 16):
         gamma_j = 1.0 - 2.0 ** (-j) / (2.0 * k)
         eta_j = 1.0 - 2.0 * k * (1.0 - gamma_j)

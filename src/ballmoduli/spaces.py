@@ -236,11 +236,23 @@ def _coords(x, space: SpaceDescriptor, side: Side) -> np.ndarray:
             raise DimensionMismatchError("point belongs to a space of different dimension")
         return x.array
     a = np.asarray(x, dtype=float)
-    if a.shape[-1] != space.dim:
+    if a.shape[-1:] != (space.dim,):
         raise DimensionMismatchError(
-            f"last axis has {a.shape[-1]} coordinates, space has dimension {space.dim}")
+            f"coordinates of shape {a.shape}, space has dimension {space.dim}")
     if not np.all(np.isfinite(a)):
         raise DomainError("coordinates must be finite")
+    return a
+
+
+def _unit_coords(space: SpaceDescriptor, x, side: Side, name: str) -> np.ndarray:
+    """Coordinates of one unit vector: ``x`` passes ``_coords``'s checks and has
+    norm 1 to within 1e-6, in ``space`` or, for a functional, in its polar."""
+    a = _coords(x, space, side)
+    if a.ndim != 1:
+        raise DimensionMismatchError(f"{name} must be a single vector, got shape {a.shape}")
+    n = float(_norm_array(space if side == "primal" else polar_space(space), a))
+    if abs(n - 1.0) > 1e-6:
+        raise DomainError(f"{name} must have norm 1, got {n}")
     return a
 
 
@@ -269,26 +281,13 @@ def _norm_array(space: SpaceDescriptor, a: np.ndarray):
 
 
 def dual_norm(space: SpaceDescriptor, f) -> np.ndarray | float:
-    """Norm of a functional: sup{f(x) : ||x|| <= 1}."""
+    """Norm of a functional: sup{f(x) : ||x|| <= 1}, the norm in the polar."""
     a = _coords(f, space, "dual")
     return _dual_norm_array(space, a)
 
 
 def _dual_norm_array(space: SpaceDescriptor, a: np.ndarray):
-    if space.kind == "lp":
-        return np.sum(np.abs(a) ** space.q, axis=-1) ** (1.0 / space.q)
-    if space.kind == "weighted-lp":
-        w = np.asarray(space.weights)
-        return np.sum(w ** (-space.q / space.p) * np.abs(a) ** space.q, axis=-1) ** (1.0 / space.q)
-    if space.kind == "polyhedral":
-        V = np.asarray(space.vertices)
-        return np.max(a @ V.T, axis=-1)
-    if space.kind == "lp-sum":
-        q = space.q
-        parts = [_dual_norm_array(c, a[..., s])
-                 for c, s in zip(space.components, space.block_slices)]
-        return np.sum(np.stack(parts, axis=-1) ** q, axis=-1) ** (1.0 / q)
-    raise DescriptorError(space.kind)
+    return _norm_array(polar_space(space), a)
 
 
 def pairing(f, x) -> float:
@@ -303,7 +302,8 @@ def pairing(f, x) -> float:
 
 @lru_cache(maxsize=256)
 def polar_space(space: SpaceDescriptor) -> SpaceDescriptor:
-    """Descriptor of the dual space X*: dual_norm in X equals norm in polar(X).
+    """Descriptor of the dual space X*, the one definition of the dual side:
+    dual_norm in X is the norm in polar(X).
 
     Memoized on the descriptor's value, so equal descriptors share one polar
     together with its derived data (facets, grids)."""

@@ -19,10 +19,10 @@ import numpy as np
 
 from . import oracle
 from .beta import beta_global, beta_point, beta_sup
-from .bracket import EXACT, Bracket
+from .bracket import Bracket
 from .config import Budget, resolve
 from .denting import (d_global, d_point, d_star, d_star_global, d_star_zero,
-                      modulus_convexity, s_point, s_star)
+                      modulus_convexity, s_point, s_star, _resolution)
 from .errors import DomainError
 from .lpsum import (ComponentModuli, alpha_star, delta_q_lower,
                     sum_beta_lower_bound, sum_slice_threshold_case1,
@@ -130,18 +130,8 @@ def _unit(space: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:
             return v / n
 
 
-def _dual_unit(space: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:
-    while True:
-        v = rng.normal(size=space.dim)
-        n = float(_dual_norm_array(space, v))
-        if n > 1e-9:
-            return v / n
-
-
 def _slice_budget(budget: Budget, dim: int) -> Budget:
-    if budget.resolution is not None:
-        return budget
-    return budget.with_resolution(5e-3 if dim == 2 else 0.1)
+    return budget.with_resolution(_resolution(budget, 5e-3, 0.1, dim))
 
 
 # -- lemma battery ----------------------------------------------------------
@@ -193,7 +183,7 @@ def _lemma_instance(lemma: str, name: str, space: SpaceDescriptor,
         return compare(lemma, name, params, Bracket.exact(2.0 * t), diam,
                        {"x": x.tolist(), "f": f.tolist(), "s": s.to_json()})
     if lemma == "dual-slice-diameter-shrinks-under-positive-s-star":
-        f = _dual_unit(space, rng)
+        f = _unit(polar_space(space), rng)
         x = duality_preimage(space, f).array
         t = float(rng.uniform(0.3, 1.2))
         params = {"i": i, "t": t}
@@ -386,7 +376,7 @@ def suite_lpsum(spaces: Optional[Sequence[str]] = None, seed: int = 0,
         worst = 0.0
         ce = None
         for j in range(n_pairs):
-            fa = _dual_unit(sum_space, rng)
+            fa = _unit(dual_sum, rng)
             z = witness_functional(sum_space, fa).array
             sc = scales_case1[j % len(scales_case1)]
             angles = rng.normal(scale=sc, size=len(sum_space.components))
@@ -408,7 +398,7 @@ def suite_lpsum(spaces: Optional[Sequence[str]] = None, seed: int = 0,
         ce_g = None
         if bound > 0.0:
             for j in range(n_pairs):
-                fa = _dual_unit(sum_space, rng)
+                fa = _unit(dual_sum, rng)
                 z = witness_functional(sum_space, fa).array
                 sc = scales_gen[j % len(scales_gen)]
                 g = z + rng.normal(scale=sc, size=sum_space.dim)
@@ -456,7 +446,7 @@ def suite_ordering(spaces: Optional[Sequence[str]] = None, seed: int = 0,
         space = preset(name)
         for t in (0.5, 1.0):
             for j in range(2):
-                f = _dual_unit(space, rng)
+                f = _unit(polar_space(space), rng)
                 ds = d_star(space, f, t, budget)
                 dz = d_star_zero(space, f, t, budget)
                 checks.append(compare(
@@ -559,7 +549,7 @@ def suite_beta_slices(spaces: Optional[Sequence[str]] = None, seed: int = 0,
         dual = polar_space(space)
         t = 0.5
         for j in range(2):
-            f = _dual_unit(space, rng)
+            f = _unit(dual, rng)
             x = duality_preimage(space, f).array
             b = beta_point(space, f, x, t, budget)
             params = {"t": t, "j": j}

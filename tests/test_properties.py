@@ -104,9 +104,10 @@ class TestBracketAlgebra:
         assert h.upper == pytest.approx(hi)
 
     def test_invalid_bracket_rejected(self):
-        with pytest.raises(ValueError):
-            Bracket(lower=1.0, upper=0.0, method="exact", resolution=0.0,
-                    lipschitz=0.0)
+        for lower, upper in ((1.0, 0.0), (math.nan, 0.0), (0.0, math.nan)):
+            with pytest.raises(ValueError):
+                Bracket(lower=lower, upper=upper, method="exact", resolution=0.0,
+                        lipschitz=0.0)
 
 
 @st.composite

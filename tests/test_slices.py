@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ballmoduli import (MULTISTART, BallConstructionError, Budget, DomainError,
+from ballmoduli import (MULTISTART, BallConstructionError, Budget,
+                        DimensionMismatchError, DomainError,
                         SeparatingBall, Slice, construct_separating_ball,
                         f_eps_radius, norm, pairing, preset, slice_diameter)
 
@@ -102,3 +103,10 @@ class TestSeparatingBall:
             construct_separating_ball(space, [(0.1, 0.0)], (1.0, 0.0), 0.5, 1.0)
         with pytest.raises(DomainError):  # f not unit
             construct_separating_ball(space, [(0.5, 0.0)], (2.0, 0.0), 0.5, 1.0)
+        with pytest.raises(DomainError):  # a vertex of C is not finite
+            construct_separating_ball(space, [(0.6, 0.0), (math.nan, 0.0)],
+                                      (1.0, 0.0), 0.5, 1.0)
+        with pytest.raises(DimensionMismatchError):  # a vertex of C is 3-D
+            construct_separating_ball(space, [(0.6, 0.0, 0.0)], (1.0, 0.0), 0.5, 1.0)
+        with pytest.raises(DomainError):  # C is empty
+            construct_separating_ball(space, np.zeros((0, 2)), (1.0, 0.0), 0.5, 1.0)

@@ -1,13 +1,17 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ballmoduli import (DescriptorError, DimensionMismatchError, Point,
-                        SpaceDescriptor, cross_polytope, dual_norm,
-                        duality_preimage, hypercube, lp_space, make_lp_sum,
-                        norm, pairing, polar_space, polyhedral_space, preset,
-                        support_functional, weighted_lp_space)
+from ballmoduli import (DescriptorError, DimensionMismatchError, DomainError,
+                        Point, Slice, SpaceDescriptor, beta_point, beta_sup,
+                        construct_separating_ball, cross_polytope, d_point,
+                        d_star, d_star_zero, dual_norm, duality_preimage,
+                        hypercube, lp_space, make_lp_sum, norm, pairing,
+                        polar_space, polyhedral_space, preset, s_point, s_star,
+                        slice_diameter, support_functional, weighted_lp_space,
+                        witness_functional)
 from ballmoduli.gridutil import lowdisc_sphere, sphere_grid
 from ballmoduli.spaces import _support_array, exact_vertices, kernel_frame
 
@@ -105,10 +109,15 @@ class TestDerivedData:
 
 
 class TestDualityMaps:
+    # support_functional's gradient formulas never call polar_space, so a
+    # unit dual norm here checks the polar's weights w^(-q/p) and the
+    # conjugate exponent of a mixed sum independently
     @pytest.mark.parametrize("name", ["l2-2", "lp:3-2d", "l1-2d", "linf-2d",
-                                      "square-rot", "l2-3"])
+                                      "square-rot", "l2-3", "weighted:3:1,2",
+                                      "lpsum:3:l1-2d+lp:1.5-2d"])
     def test_support_functional_norms_its_point(self, name, rng):
-        space = preset(name)
+        space = (weighted_lp_space(3.0, (1.0, 2.0)) if name == "weighted:3:1,2"
+                 else preset(name))
         for _ in range(10):
             x = rng.normal(size=space.dim)
             x = x / norm(space, x)
@@ -193,3 +202,55 @@ class TestDescriptors:
     def test_point_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             Point.of(preset("l2-2"), [1.0, 0.0, 0.0])
+
+
+E1 = (1.0, 0.0)
+
+# Each public entry point that takes a unit point or functional, with the
+# checked vector v as its only free argument.
+ENTRY_POINTS = {
+    "s_point-x": ("l2-2", lambda sp, v: s_point(sp, v, E1, 1.0)),
+    "s_point-f": ("l2-2", lambda sp, v: s_point(sp, E1, v, 1.0)),
+    "d_point": ("l2-2", lambda sp, v: d_point(sp, v, 1.0)),
+    "s_star-f": ("l2-2", lambda sp, v: s_star(sp, v, E1, 1.0)),
+    "s_star-x": ("l2-2", lambda sp, v: s_star(sp, E1, v, 1.0)),
+    "d_star": ("l2-2", lambda sp, v: d_star(sp, v, 1.0)),
+    "d_star_zero": ("l2-2", lambda sp, v: d_star_zero(sp, v, 1.0)),
+    "beta_point-f": ("l2-2", lambda sp, v: beta_point(sp, v, E1, 0.5)),
+    "beta_point-x": ("l2-2", lambda sp, v: beta_point(sp, E1, v, 0.5)),
+    "beta_sup": ("l2-2", lambda sp, v: beta_sup(sp, v, 0.5)),
+    "slice_diameter": ("l2-2", lambda sp, v: slice_diameter(sp, Slice.of(v, 0.5))),
+    "slice_diameter-dual": ("l2-2", lambda sp, v: slice_diameter(
+        sp, Slice.of(v, 0.5, "dual"))),
+    "construct_separating_ball": ("l2-2", lambda sp, v: construct_separating_ball(
+        sp, [[0.0, 2.0]], v, 0.5, 2.0)),
+    "witness_functional": ("l2sum-4", witness_functional),
+}
+
+
+class TestInputContract:
+    """Every entry point checks its vectors before any search: finite,
+    matching dimension, unit norm to 1e-6 (in the polar for functionals)."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("first", [math.nan, 1.0 + 1e-5], ids=["nan", "non-unit"])
+    def test_bad_coordinate_raises_domain_error(self, entry, first):
+        name, call = ENTRY_POINTS[entry]
+        space = preset(name)
+        with pytest.raises(DomainError):
+            call(space, [first] + [0.0] * (space.dim - 1))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_length_raises_dimension_mismatch(self, entry, extra):
+        name, call = ENTRY_POINTS[entry]
+        space = preset(name)
+        with pytest.raises(DimensionMismatchError):
+            call(space, [1.0] + [0.0] * (space.dim - 1 + extra))
+
+    def test_point_on_the_wrong_side_raises_domain_error(self):
+        space = preset("l2-2")
+        with pytest.raises(DomainError):
+            s_point(space, Point.of(space, E1, side="dual"), E1, 1.0)
+        with pytest.raises(DomainError):
+            s_star(space, Point.of(space, E1), E1, 1.0)

@@ -1,15 +1,23 @@
-"""Compare the d-family brackets and support functionals of two checkouts.
+"""Compare the brackets, norms and support functionals of two checkouts.
 
     PYTHONPATH=<checkout>/src python tools/compare_brackets.py dump OUT.json
     python tools/compare_brackets.py diff A.json B.json
 
-``dump`` evaluates a fixed list of calls (d at a coarse and at the default
-budget, d_global, d*, d*-global, d*0 and d*0-global at coarse budgets on
-2-D and 3-D presets, d*0 also at t = 0.01, where its interior sample is
-mostly empty, plus support functionals at seeded random points) and writes
-every bracket end and functional coordinate.  ``diff`` prints the number of
-values compared and the largest absolute difference, and exits 1 if the
-call lists differ.
+``dump`` evaluates a fixed list of calls and writes every bracket end with
+its method tag, every norm value and every functional coordinate:
+
+- d at a coarse and at the default budget, d_global, d*, d*-global, d*0 and
+  d*0-global at coarse budgets on 2-D and 3-D presets, d*0 also at
+  t = 0.01, where its interior sample is mostly empty;
+- primal and dual slice diameters, s and s* at norming and at generic
+  pairs, beta and beta-sup at the default budget, and the oracle's
+  brute-force d bracket, on the 2-D spaces;
+- norm, dual norm and support functional at seeded random points.
+
+``diff`` prints the number of values compared, the largest absolute
+difference overall and per kind of call (the first word of its key) where
+it is not 0, and the calls whose method tags differ; it exits 1 if the call
+lists differ.
 """
 
 from __future__ import annotations
@@ -34,11 +42,18 @@ def _space(bm, name):
 
 
 def _unit(bm, sp, v, dual=False):
+    # functionals are scaled by the norm of the polar, not by dual_norm, so
+    # that both checkouts get the same inputs even where dual_norm moved
     v = np.asarray(v, dtype=float)
-    return v / float(bm.dual_norm(sp, v) if dual else bm.norm(sp, v))
+    return v / float(bm.norm(bm.polar_space(sp), v) if dual else bm.norm(sp, v))
 
 
 def calls(bm):
+    yield from _d_family(bm)
+    yield from _slice_s_beta(bm)
+
+
+def _d_family(bm):
     coarse, cover = bm.Budget(resolution=4e-2), bm.Budget(resolution=0.3)
     for name in SPACES_2D + SPACES_3D:
         sp = _space(bm, name)
@@ -61,23 +76,50 @@ def calls(bm):
                 sp, 0.2, cover)
 
 
+def _slice_s_beta(bm):
+    from ballmoduli import oracle
+    for name in SPACES_2D:
+        sp = _space(bm, name)
+        x, f = _unit(bm, sp, [1.0, 0.3]), _unit(bm, sp, [0.4, -1.0], dual=True)
+        g = bm.support_functional(sp, x).array
+        y = bm.duality_preimage(sp, f).array
+        for alpha in (0.5, 0.9):
+            yield f"slice_diameter {name} {alpha} primal", lambda: bm.slice_diameter(
+                sp, bm.Slice.of(f, alpha))
+            yield f"slice_diameter {name} {alpha} dual", lambda: bm.slice_diameter(
+                sp, bm.Slice.of(x, alpha, "dual"))
+        for t in (0.5, 1.2):
+            yield f"s_point {name} {t} norming", lambda: bm.s_point(sp, x, g, t)
+            yield f"s_point {name} {t} generic", lambda: bm.s_point(sp, x, f, t)
+            yield f"s_star {name} {t} norming", lambda: bm.s_star(sp, f, y, t)
+            yield f"s_star {name} {t} generic", lambda: bm.s_star(sp, f, x, t)
+        for t in (0.25, 0.5):
+            yield f"beta_point {name} {t}", lambda: bm.beta_point(sp, f, x, t)
+            yield f"beta_sup {name} {t}", lambda: bm.beta_sup(sp, f, t)
+        yield f"oracle_d {name} 0.5", lambda: oracle.grid_bracket(
+            "d", sp, 0.05, x=x, t=0.5)
+
+
 def dump(path: str) -> None:
     import ballmoduli as bm
     from ballmoduli.spaces import _support_array
-    out = {}
+    out, methods = {}, {}
     for key, fn in calls(bm):
         b = fn()
-        out[key] = [b.lower, b.upper]
-        print(key, b.lower, b.upper, flush=True)
-    rng = np.random.default_rng(0)
+        out[key], methods[key] = [b.lower, b.upper], b.method
+        print(key, b.lower, b.upper, b.method, flush=True)
+    rng, rng_norm = np.random.default_rng(0), np.random.default_rng(1)
     for name in SUPPORT_SPACES:
         sp = _space(bm, name)
+        raw = rng_norm.standard_normal((50, sp.dim))
+        out[f"norm {name}"] = bm.norm(sp, raw).tolist()
+        out[f"dual_norm {name}"] = bm.dual_norm(sp, raw).tolist()
         pts = rng.standard_normal((50, sp.dim))
         pts /= bm.norm(sp, pts)[:, None]
         out[f"support {name}"] = [float(c) for x in pts
                                   for c in _support_array(sp, x)]
     with open(path, "w") as fh:
-        json.dump(out, fh, indent=0)
+        json.dump({"values": out, "methods": methods}, fh, indent=0)
 
 
 def diff(path_a: str, path_b: str) -> int:
@@ -85,17 +127,27 @@ def diff(path_a: str, path_b: str) -> int:
         a = json.load(fh)
     with open(path_b) as fh:
         b = json.load(fh)
-    if a.keys() != b.keys():
-        print("call lists differ:", sorted(a.keys() ^ b.keys()))
+    va, vb = a["values"], b["values"]
+    if va.keys() != vb.keys():
+        print("call lists differ:", sorted(va.keys() ^ vb.keys()))
         return 1
     worst, where, n = 0.0, None, 0
-    for key in a:
-        for u, v in zip(a[key], b[key], strict=True):
+    per_kind: dict[str, float] = {}
+    for key in va:
+        kind = key.split()[0]
+        for u, v in zip(va[key], vb[key], strict=True):
             n += 1
+            per_kind[kind] = max(per_kind.get(kind, 0.0), abs(u - v))
             if abs(u - v) > worst:
                 worst, where = abs(u - v), key
-    print(f"{len(a)} calls, {n} values, max |delta| = {worst:.3g}"
+    print(f"{len(va)} calls, {n} values, max |delta| = {worst:.3g}"
           + (f" ({where})" if where else ""))
+    for kind, d in per_kind.items():
+        if d > 0.0:
+            print(f"  {kind}: max |delta| = {d:.3g}")
+    tags = [k for k in a["methods"] if a["methods"][k] != b["methods"].get(k)]
+    print(f"{len(a['methods'])} method tags, {len(tags)} differ"
+          + (f": {tags}" if tags else ""))
     return 0
 
 
