@@ -33,34 +33,37 @@ def _resolution(budget: Budget, default2: float, default3: float, dim: int) -> f
 
 def modulus_convexity(space: SpaceDescriptor, t: float,
                       budget: Optional[Budget] = None) -> Bracket:
-    """Certified bracket for inf{1 - ||x+y||/2 : x,y unit, ||x-y|| >= t}."""
+    """Certified bracket for inf{1 - ||x+y||/2 : x,y unit, ||x-y|| >= t}.
+
+    The upper end is the least objective over grid pairs at distance >= t,
+    the lower end the least over grid pairs at distance >= t - 2h minus h
+    (h the grid's covering radius).  In the plane both minima come from
+    O(n log n) norms through the grid's angular order: for each grid point
+    p_i the offsets k with ||p_i - p_{i+k}|| >= tau form one interval
+    around n/2 (``gridutil.sphere_grid`` states the order and the
+    monotonicity lemma), and on it 1 - ||p_i + p_{i+k}||/2, a distance from
+    -p_i, is least at the interval's two ends (the lemma at -p_i).  The
+    ends are found for all i at once by bisection (``_arc_min``), and the
+    objective is taken at the first offsets from each end whose float
+    distance passes tau.  ``BudgetError`` is raised when the norm
+    evaluations this path makes would pass ``max_evals``; in 3-D, when half
+    the n^2 pair grid would.
+    """
     if not (0.0 < t <= 2.0):
         raise DomainError(f"modulus of convexity needs 0 < t <= 2, got {t}")
     budget = resolve(budget)
     res = _resolution(budget, 1.5e-3, 0.12, space.dim)
     grid = sphere_grid(space, res)
     pts, h = grid.points, grid.covering
-    n = len(pts)
-    if n * n > 2 * budget.max_evals:
-        raise BudgetError(f"pair grid of {n}^2 evaluations exceeds the budget")
     # the objective 1 - ||x+y||/2 and the constraint ||x-y|| are each
     # 1-Lipschitz in (x, y) jointly for the max-of-norms metric; moving both
     # endpoints to grid neighbours changes value by <= h and distance by <= 2h
-    best_feas = math.inf
-    best_relax = math.inf
-    chunk = max(1, int(4_000_000 // max(n, 1)))
-    for i in range(0, n, chunk):
-        block = pts[i:i + chunk]
-        sums = block[:, None, :] + pts[None, i:, :]
-        diffs = block[:, None, :] - pts[None, i:, :]
-        vals = 1.0 - 0.5 * _norm_array(space, sums)
-        dist = _norm_array(space, diffs)
-        feas = dist >= t
-        relax = dist >= t - 2.0 * h
-        if np.any(feas):
-            best_feas = min(best_feas, float(np.min(vals[feas])))
-        if np.any(relax):
-            best_relax = min(best_relax, float(np.min(vals[relax])))
+    taus = (t, t - 2.0 * h)
+    if space.dim == 2:
+        norms = _capped_norms(space, budget.max_evals)
+        best_feas, best_relax = (_arc_min(norms, pts, tau) for tau in taus)
+    else:
+        best_feas, best_relax = _all_pairs_min(space, pts, taus, budget.max_evals)
     if not math.isfinite(best_feas):
         # symmetric grids contain antipodal pairs at distance 2 >= t, so this
         # only triggers on pathological resolutions
@@ -68,6 +71,99 @@ def modulus_convexity(space: SpaceDescriptor, t: float,
     # delta >= 0 a priori; a negative value is rounding in ||x+y|| <= 2
     return Bracket(lower=max(0.0, best_relax - h), upper=max(best_feas, 0.0),
                    method=GRID, resolution=res, lipschitz=1.0, seed=budget.seed)
+
+
+# The arc ends are bisected on ||x - y|| >= tau - _ARC_TOL: far above the
+# rounding of a norm near 2, so a flat stretch of ||x - y|| at tau (a polygon
+# at tau = 2) cannot mislead the bisection, yet far below a grid step.
+_ARC_TOL = 1e-12
+_ARC_WINDOW = np.arange(4)  # offsets taken at a time, in the scan and for the objective
+
+
+def _capped_norms(space: SpaceDescriptor, max_evals: int):
+    """``_norm_array`` on ``space`` that raises ``BudgetError`` before the
+    total number of evaluated points would pass ``max_evals``."""
+    used = 0
+
+    def norms(a: np.ndarray) -> np.ndarray:
+        nonlocal used
+        used += a.size // a.shape[-1]
+        if used > max_evals:
+            raise BudgetError(f"the convexity scan needs more than {max_evals} "
+                              f"norm evaluations")
+        return _norm_array(space, a)
+    return norms
+
+
+def _arc_min(norms, pts: np.ndarray, tau: float) -> float:
+    """min of 1 - ||p_i + p_j||/2 over pairs of a 2-D sphere grid with
+    ||p_i - p_j|| >= tau (inf if there is none).
+
+    Each point p_i has two sides, the offsets k in [0, floor(n/2)] and in
+    [ceil(n/2), n]; each side is searched from its outer end (k = 0, resp.
+    n) towards the antipodal offset.  Bisection finds the first offset
+    with ||p_i - p_{i+k}|| >= tau - _ARC_TOL; no offset before it passes
+    tau.  From there the offsets are scanned in windows for the first one
+    that passes tau in floating point, and the objective is taken there
+    and at the next three offsets that pass.
+
+    In exact arithmetic one side would do, since every pair lies on the
+    first side of one of its points; but where pairs tie at distance tau (a
+    polygon at tau = 2), rounding can let a pair pass in one orientation
+    only, so both are searched.
+    """
+    n = len(pts)
+    rows = np.tile(np.arange(n), 2)[:, None]
+    outer = np.repeat([-1, n + 1], n)[:, None]  # before the first offset
+    inner = np.repeat([n // 2, (n + 1) // 2], n)[:, None]  # the antipodal end
+    step = np.sign(inner - outer)
+
+    def dist(r, k):
+        return norms(pts[r] - pts[(r + k) % n])
+
+    lo, hi = outer, inner
+    for _ in range((n // 2).bit_length()):  # halves the gap n//2 + 1 to 1
+        active = np.abs(hi - lo) > 1
+        mid = np.where(active, (lo + hi) // 2, hi)
+        ok = dist(rows, mid) >= tau - _ARC_TOL
+        hi, lo = np.where(active & ok, mid, hi), np.where(active & ~ok, mid, lo)
+    # scan from hi towards the antipodal end for the first offset passing tau
+    first = np.full(2 * n, -1)
+    pending = np.arange(2 * n)
+    k = hi[:, 0].copy()
+    while pending.size:
+        block = k[pending, None] + step[pending] * _ARC_WINDOW
+        inside = (inner[pending] - block) * step[pending] >= 0
+        feas = inside & (dist(rows[pending], block) >= tau)
+        hit = feas.any(axis=1)
+        first[pending[hit]] = block[hit, np.argmax(feas[hit], axis=1)]
+        k[pending] = block[:, -1] + step[pending, 0]
+        pending = pending[~hit & inside[:, -1]]
+    found = first >= 0
+    r = rows[found]
+    j = (r + first[found, None] + step[found] * _ARC_WINDOW) % n
+    keep = norms(pts[r] - pts[j]) >= tau
+    vals = 1.0 - 0.5 * norms(pts[r] + pts[j])
+    return float(np.min(vals[keep])) if np.any(keep) else math.inf
+
+
+def _all_pairs_min(space: SpaceDescriptor, pts: np.ndarray, taus, max_evals: int):
+    """min of 1 - ||x + y||/2 over grid pairs with ||x - y|| >= tau, for
+    each tau, comparing every pair in row blocks."""
+    n = len(pts)
+    if n * n > 2 * max_evals:
+        raise BudgetError(f"pair grid of {n}^2 evaluations exceeds the budget")
+    best = [math.inf] * len(taus)
+    chunk = max(1, int(4_000_000 // max(n, 1)))
+    for i in range(0, n, chunk):
+        block = pts[i:i + chunk]
+        vals = 1.0 - 0.5 * _norm_array(space, block[:, None, :] + pts[None, i:, :])
+        dist = _norm_array(space, block[:, None, :] - pts[None, i:, :])
+        for r, tau in enumerate(taus):
+            ok = dist >= tau
+            if np.any(ok):
+                best[r] = min(best[r], float(np.min(vals[ok])))
+    return best
 
 
 # -- kernel scans for the s-modulus ----------------------------------------

@@ -90,7 +90,23 @@ class SphereGrid:
 def sphere_grid(space: SpaceDescriptor, resolution: float) -> SphereGrid:
     """Certified covering of the unit sphere at ambient covering radius
     <= resolution.  Memoized: the points are shared and read-only.  The
-    dual sphere is ``sphere_grid(polar_space(space), resolution)``."""
+    dual sphere is ``sphere_grid(polar_space(space), resolution)``.
+
+    In the plane the grid is in angular order, and the 2-D pair scans
+    (``slices._max_pair``, ``denting.modulus_convexity``) rest on it:
+
+    - the n points p_0, ..., p_{n-1} run counter-clockwise at equal angle
+      steps 2 pi/n (p_i is the unit point in direction angle 2 pi i/n);
+    - so the antipode -p_i lies between indices i + floor(n/2) and
+      i + ceil(n/2) (mod n), and the indices i + k with k in [0, floor(n/2)]
+      run along the arc from p_i to -p_i;
+    - by the monotonicity lemma for normed planes (for unit x, ||x - y|| does
+      not decrease as y runs along the unit circle from x to -x; Martini,
+      Swanepoel & Weiss, "The geometry of Minkowski spaces -- a survey,
+      Part I", Expo. Math. 19 (2001), Prop. 31), k -> ||p_i - p_{i+k}|| does
+      not decrease for k in [0, floor(n/2)] and does not increase for k in
+      [ceil(n/2), n].
+    """
     if resolution <= 0:
         raise DomainError("resolution must be positive")
     eq = sharp_equiv_constants(space)

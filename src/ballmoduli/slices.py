@@ -5,6 +5,18 @@ certified path relies on a convexity fact: the diameter of a closed slice
 {g in B : v(g) >= a} is attained at extreme points, and every extreme
 point of the slice lies on the unit sphere (points of the hyperplane
 section interior to the ball are relative-interior, hence not extreme).
+
+In the plane the pair search is linear in the slice's grid points.  The
+grid points with v(g) >= a form one cyclic run of the grid's angular order,
+because a convex curve meets a half-plane in one arc.  For a run point
+p_i, k -> ||p_i - p_{i+k}|| does not decrease up to the antipode and does
+not increase after it (``gridutil.sphere_grid`` states the order and the
+monotonicity lemma of Martini, Swanepoel & Weiss, Expo. Math. 19 (2001),
+Prop. 31), so the farthest partner of p_i in the run is an end of the run
+or an antipodal index clipped into the run.  Those four candidates, each
+with a one-index window against float ties, give the slice's largest grid
+distance from about 12m norms instead of m^2.  In 3-D every pair is
+compared.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from scipy.optimize import minimize
 from .bracket import GRID, MULTISTART, Bracket
 from .config import Budget, resolve
 from .denting import modulus_convexity, _resolution
-from .errors import BallConstructionError, DomainError
+from .errors import BallConstructionError, BudgetError, DomainError
 from .gridutil import lowdisc_sphere, sphere_grid
 from .spaces import (Point, SpaceDescriptor, duality_preimage, polar_space,
                      _coords, _dual_norm_array, _norm_array, _unit_coords)
@@ -71,22 +83,58 @@ def slice_diameter(space: SpaceDescriptor, slc: Slice,
     h = grid.covering
     vals = grid.points @ v
     # |v(g) - v(g0)| <= ||g - g0|| since v is a unit functional
-    relax = grid.points[vals >= alpha - h]
-    feas = grid.points[vals >= alpha]
-    lower = _max_pair(W, feas)
-    upper = (_max_pair(W, relax) + 2.0 * h) if len(relax) else 0.0
+    relax = vals >= alpha - h
+    lower = _max_pair(W, grid.points, vals >= alpha)
+    upper = (_max_pair(W, grid.points, relax) + 2.0 * h) if np.any(relax) else 0.0
     return Bracket(lower=lower, upper=upper, method=GRID,
                    resolution=res, lipschitz=1.0, seed=budget.seed)
 
 
-def _max_pair(space: SpaceDescriptor, pts: np.ndarray) -> float:
-    if len(pts) < 2:
+_PAIR_WINDOW = np.arange(-1, 2)  # each candidate partner is widened by one index
+
+
+def _max_pair(space: SpaceDescriptor, grid_points: np.ndarray,
+              mask: np.ndarray) -> float:
+    """Largest ||g - g'|| over the grid points selected by ``mask``.
+
+    In the plane ``grid_points`` is a ``sphere_grid`` in angular order and
+    the mask must be one cyclic run of it (see the module docstring); a
+    mask that is not one run raises ``BudgetError``.  Elsewhere every pair
+    is compared, in blocks of ``_PAIR_CHUNK`` rows.
+    """
+    m = int(np.count_nonzero(mask))
+    if m < 2:
         return 0.0
+    if space.dim == 2:
+        return _max_pair_arc(space, grid_points, mask, m)
+    pts = grid_points[mask]
     best = 0.0
-    for i in range(0, len(pts), _PAIR_CHUNK):
+    for i in range(0, m, _PAIR_CHUNK):
         diffs = pts[i:i + _PAIR_CHUNK, None, :] - pts[None, :, :]
         best = max(best, float(np.max(_norm_array(space, diffs))))
     return best
+
+
+def _max_pair_arc(space: SpaceDescriptor, grid_points: np.ndarray,
+                  mask: np.ndarray, m: int) -> float:
+    n = len(grid_points)
+    start = 0
+    if m < n:
+        starts = np.flatnonzero(mask & ~np.roll(mask, 1))
+        if len(starts) != 1:
+            raise BudgetError(f"slice grid points form {len(starts)} arcs, not one; "
+                              f"change the resolution")
+        start = int(starts[0])
+    run = grid_points[(start + np.arange(m)) % n]
+    # a position's candidate partners: both ends of the run and the
+    # antipodal positions floor(n/2) and ceil(n/2) ahead of it; a position
+    # past the run's end is clipped into it, onto an end
+    pos = np.arange(m)[:, None]
+    ends = np.broadcast_to([0, m - 1], (m, 2))
+    anti = pos + [n // 2, (n + 1) // 2]
+    cand = np.concatenate([ends, anti], axis=1)[:, :, None] + _PAIR_WINDOW
+    partners = np.minimum(cand.reshape(m, -1) % n, m - 1)
+    return float(np.max(_norm_array(space, run[:, None, :] - run[partners])))
 
 
 # -- residual-set radius ----------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ballmoduli import (Budget, DomainError, d_global, d_point, d_star,
+from ballmoduli import (Budget, BudgetError, DomainError, d_global, d_point, d_star,
                         d_star_global, d_star_zero, d_star_zero_global,
                         modulus_convexity, polar_space, preset, s_point, s_star)
 from ballmoduli import denting
@@ -28,6 +28,16 @@ class TestModulusConvexity:
         b = modulus_convexity(preset("linf-2d"), 1.0)
         assert b.lower == 0.0
         assert b.upper <= 1e-12
+
+    def test_plane_budget_counts_the_scan_not_the_pair_grid(self):
+        space = preset("lp:3-2d")
+        n = len(sphere_grid(space, 1.5e-3).points)
+        default = modulus_convexity(space, 1.0)
+        # below n^2/2, the old all-pairs refusal threshold, but above the
+        # O(n log n) norms of the 2-D scan
+        assert modulus_convexity(space, 1.0, Budget(max_evals=n * n // 8)) == default
+        with pytest.raises(BudgetError):
+            modulus_convexity(space, 1.0, Budget(max_evals=10 * n))
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -5,15 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from ballmoduli import (Bracket, Budget, Slice, beta_point, beta_sup, dual_norm,
-                        duality_preimage, norm, pairing, polyhedral_space, preset,
-                        s_point, slice_diameter, support_functional,
+from ballmoduli import (Bracket, Budget, BudgetError, Slice, beta_point, beta_sup,
+                        dual_norm, duality_preimage, modulus_convexity, norm,
+                        pairing, polar_space, polyhedral_space, preset, s_point,
+                        slice_diameter, support_functional, weighted_lp_space,
                         witness_functional)
 from ballmoduli import oracle
 from ballmoduli.exactpoly import Polygon
-from ballmoduli.spaces import _support_array
+from ballmoduli.gridutil import sharp_equiv_constants, sphere_grid
+from ballmoduli.slices import _max_pair
+from ballmoduli.spaces import _norm_array, _support_array
 
 PRESETS = ["l2-2", "l2-3", "lp:1.5-2d", "lp:3-2d", "l1-2d", "linf-2d",
            "square-rot", "l2sum-4"]
@@ -165,3 +168,85 @@ class TestEngineContainsExact:
         ]
         for bracket, exact in checks:
             assert bracket.contains(float(exact), slack=1e-9), (bracket, exact)
+
+
+@st.composite
+def planes(draw):
+    """A rational polygon or a weighted lp plane, 1.05 <= p <= 6."""
+    if draw(st.booleans()):
+        poly = draw(rational_polygons())
+        return polyhedral_space([_floats(v) for v in poly.vertices])
+    weights = draw(st.lists(st.floats(0.25, 4.0), min_size=2, max_size=2))
+    return weighted_lp_space(draw(st.floats(1.05, 6.0)), weights)
+
+
+def _grid_of_size(space, n):
+    """The 2-D sphere grid with exactly n points."""
+    L = sharp_equiv_constants(space).projection_lipschitz
+    res = math.pi * L / (n - 0.5)
+    grid = sphere_grid(space, res)
+    assert len(grid.points) == n
+    return res, grid
+
+
+def _all_pairs_max(space, pts):
+    if len(pts) < 2:
+        return 0.0
+    return float(np.max(_norm_array(space, pts[:, None, :] - pts[None, :, :])))
+
+
+def _all_pairs_delta(space, grid, t):
+    """(lower, upper) of modulus_convexity from every pair of the grid, or
+    None where no pair is at distance >= t."""
+    P, h = grid.points, grid.covering
+    vals = 1.0 - 0.5 * _norm_array(space, P[:, None, :] + P[None, :, :])
+    dist = _norm_array(space, P[:, None, :] - P[None, :, :])
+    feas, relax = vals[dist >= t], vals[dist >= t - 2.0 * h]
+    if not feas.size:
+        return None
+    return max(0.0, float(np.min(relax)) - h), max(float(np.min(feas)), 0.0)
+
+
+def _engine_delta(space, t, res):
+    try:
+        b = modulus_convexity(space, t, Budget(resolution=res))
+    except BudgetError:
+        return None
+    return b.lower, b.upper
+
+
+class TestPlanePairScans:
+    """The 2-D slice and delta scans, which compare O(n log n) candidate
+    pairs chosen through the grid's angular order, against every pair."""
+
+    @given(planes(), st.booleans(), st.integers(40, 600),
+           st.floats(0.0, 2.0 * math.pi), st.floats(-1.0, 0.999))
+    @settings(max_examples=200, deadline=None)
+    def test_slice_pair_max_equals_all_pairs(self, space, dual, n, angle, alpha):
+        W = polar_space(space) if dual else space
+        _, grid = _grid_of_size(W, n)
+        P, h = grid.points, grid.covering
+        v = np.array([math.cos(angle), math.sin(angle)])
+        v /= dual_norm(W, v)
+        vals = P @ v
+        # alpha - h <= 0 puts antipodal points in the relaxed arc
+        for thr in (alpha, alpha - h):
+            mask = vals >= thr
+            assert abs(_max_pair(W, P, mask) - _all_pairs_max(W, P[mask])) <= 1e-15
+
+    @given(planes(), st.integers(40, 500), st.floats(0.02, 2.0))
+    @settings(max_examples=100, deadline=None)
+    def test_delta_equals_all_pairs(self, space, n, t):
+        res, grid = _grid_of_size(space, n)
+        assert _engine_delta(space, t, res) == _all_pairs_delta(space, grid, t)
+
+    # at t = 2 a polygon's farthest pairs tie at distance 2, and rounding
+    # lets some of them pass ||x - y|| >= 2 in one orientation only; this
+    # polygon needs both ends of the feasible arcs
+    @example(polyhedral_space([(-0.8125, 0.0), (-0.125, -0.875), (0.8125, -0.625),
+                               (0.8125, 0.0), (0.125, 0.875), (-0.8125, 0.625)]), 20)
+    @given(planes(), st.integers(20, 250))
+    @settings(max_examples=40, deadline=None)
+    def test_delta_at_t2_on_odd_grid(self, space, k):
+        res, grid = _grid_of_size(space, 2 * k + 1)
+        assert _engine_delta(space, 2.0, res) == _all_pairs_delta(space, grid, 2.0)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ballmoduli import (MULTISTART, BallConstructionError, Budget,
+from ballmoduli import (MULTISTART, BallConstructionError, Budget, BudgetError,
                         DimensionMismatchError, DomainError,
                         SeparatingBall, Slice, construct_separating_ball,
                         f_eps_radius, norm, pairing, preset, slice_diameter)
+from ballmoduli.gridutil import sphere_grid
+from ballmoduli.slices import _max_pair
 
 
 class TestSliceDiameter:
@@ -32,6 +34,17 @@ class TestSliceDiameter:
         b1 = slice_diameter(space, Slice.of((1.0, 0.0), 0.5))
         b2 = slice_diameter(space, Slice.of((1.0, 0.0), 0.8))
         assert b2.midpoint <= b1.midpoint + b1.width + b2.width
+
+    def test_plane_pair_scan_needs_one_arc(self):
+        space = preset("l2-2")
+        pts = sphere_grid(space, 0.1).points
+        mask = np.zeros(len(pts), dtype=bool)
+        mask[[-2, -1, 0, 1]] = True  # one run, across the wrap-around
+        assert _max_pair(space, pts, mask) == pytest.approx(
+            float(np.linalg.norm(pts[-2] - pts[1])), abs=1e-15)
+        mask[5] = True
+        with pytest.raises(BudgetError):
+            _max_pair(space, pts, mask)
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):

@@ -46,6 +46,21 @@ class TestSuiteRuns:
         report = run_suite("spaces")
         assert report.ok and report.n_fail == 0
 
+    def test_sum_dual_norm_check_catches_a_wrong_polar(self, monkeypatch):
+        from ballmoduli import verify
+        from ballmoduli.spaces import make_lp_sum, polar_space
+
+        def wrong_q_polar(space):
+            dual = polar_space(space)
+            if space.kind == "lp-sum":
+                return make_lp_sum(dual.components, dual.p + 0.5)
+            return dual
+
+        monkeypatch.setattr(verify, "polar_space", wrong_q_polar)
+        report = run_suite("spaces", spaces=["l2sum-4"])
+        failed = {c.name for c in report.checks if c.status == FAIL}
+        assert failed == {"sum-dual-norm-is-blockwise"}
+
     def test_delta_q_suite_passes(self):
         report = run_suite("delta-q")
         assert report.ok

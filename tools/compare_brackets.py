@@ -12,12 +12,17 @@ its method tag, every norm value and every functional coordinate:
 - primal and dual slice diameters, s and s* at norming and at generic
   pairs, beta and beta-sup at the default budget, and the oracle's
   brute-force d bracket, on the 2-D spaces;
+- primal and dual slice diameters at resolutions 5e-3 and 1.5e-3 and
+  thresholds 0.002, 0.3, 0.6 and 0.999 on the six 2-D presets, and the
+  modulus of convexity at t = 0.3, 1, 1.7 and 2 and resolutions 2e-2 and
+  1.5e-3 on the 2-D spaces;
 - norm, dual norm and support functional at seeded random points.
 
 ``diff`` prints the number of values compared, the largest absolute
-difference overall and per kind of call (the first word of its key) where
-it is not 0, and the calls whose method tags differ; it exits 1 if the call
-lists differ.
+difference overall, the number of differing values and their largest
+difference per kind of call (the first word of its key) where any differ,
+and the calls whose method tags differ (a call that raised ``BudgetError``
+is tagged so); it exits 1 if the call lists differ.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ def _unit(bm, sp, v, dual=False):
 def calls(bm):
     yield from _d_family(bm)
     yield from _slice_s_beta(bm)
+    yield from _pair_scans(bm)
 
 
 def _d_family(bm):
@@ -100,12 +106,36 @@ def _slice_s_beta(bm):
             "d", sp, 0.05, x=x, t=0.5)
 
 
+def _pair_scans(bm):
+    for name in SPACES_2D[:-1]:
+        sp = _space(bm, name)
+        x, f = _unit(bm, sp, [1.0, 0.3]), _unit(bm, sp, [0.4, -1.0], dual=True)
+        for res in (5e-3, 1.5e-3):
+            budget = bm.Budget(resolution=res)
+            for alpha in (0.002, 0.3, 0.6, 0.999):
+                yield (f"slice_diameter {name} {alpha} primal {res}",
+                       lambda: bm.slice_diameter(sp, bm.Slice.of(f, alpha), budget))
+                yield (f"slice_diameter {name} {alpha} dual {res}",
+                       lambda: bm.slice_diameter(sp, bm.Slice.of(x, alpha, "dual"), budget))
+    for name in SPACES_2D:
+        sp = _space(bm, name)
+        for res in (2e-2, 1.5e-3):
+            for t in (0.3, 1.0, 1.7, 2.0):
+                yield (f"modulus_convexity {name} {t} {res}",
+                       lambda: bm.modulus_convexity(sp, t, bm.Budget(resolution=res)))
+
+
 def dump(path: str) -> None:
     import ballmoduli as bm
     from ballmoduli.spaces import _support_array
     out, methods = {}, {}
     for key, fn in calls(bm):
-        b = fn()
+        try:
+            b = fn()
+        except bm.BudgetError:  # recorded as a tag, so both sides must raise
+            out[key], methods[key] = [], "BudgetError"
+            print(key, "BudgetError", flush=True)
+            continue
         out[key], methods[key] = [b.lower, b.upper], b.method
         print(key, b.lower, b.upper, b.method, flush=True)
     rng, rng_norm = np.random.default_rng(0), np.random.default_rng(1)
@@ -132,19 +162,22 @@ def diff(path_a: str, path_b: str) -> int:
         print("call lists differ:", sorted(va.keys() ^ vb.keys()))
         return 1
     worst, where, n = 0.0, None, 0
-    per_kind: dict[str, float] = {}
+    per_kind: dict[str, list] = {}  # kind -> [max |delta|, values that differ]
     for key in va:
-        kind = key.split()[0]
-        for u, v in zip(va[key], vb[key], strict=True):
+        if len(va[key]) != len(vb[key]):
+            continue  # one side raised; its method tag differs
+        kind = per_kind.setdefault(key.split()[0], [0.0, 0])
+        for u, v in zip(va[key], vb[key]):
             n += 1
-            per_kind[kind] = max(per_kind.get(kind, 0.0), abs(u - v))
+            kind[0] = max(kind[0], abs(u - v))
+            kind[1] += u != v
             if abs(u - v) > worst:
                 worst, where = abs(u - v), key
     print(f"{len(va)} calls, {n} values, max |delta| = {worst:.3g}"
           + (f" ({where})" if where else ""))
-    for kind, d in per_kind.items():
-        if d > 0.0:
-            print(f"  {kind}: max |delta| = {d:.3g}")
+    for kind, (d, count) in per_kind.items():
+        if count:
+            print(f"  {kind}: {count} values differ, max |delta| = {d:.3g}")
     tags = [k for k in a["methods"] if a["methods"][k] != b["methods"].get(k)]
     print(f"{len(a['methods'])} method tags, {len(tags)} differ"
           + (f": {tags}" if tags else ""))
