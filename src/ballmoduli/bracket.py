@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 GRID = "grid-certified"
@@ -44,10 +44,6 @@ class Bracket:
 
     def overlaps(self, other: "Bracket") -> bool:
         return self.lower <= other.upper and other.lower <= self.upper
-
-    def hull(self, other: "Bracket") -> "Bracket":
-        return replace(self, lower=min(self.lower, other.lower),
-                       upper=max(self.upper, other.upper))
 
     def to_json(self) -> dict:
         d = {"lower": self.lower, "upper": self.upper,

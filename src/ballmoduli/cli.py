@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle_diff(args) -> int:
-    out = run_oracle_battery(budget=_budget(args) if args.resolution else None)
+    out = run_oracle_battery(budget=_budget(args))
     out["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     _emit_json(out, args)
     all_inside = all(rec.get("exact_inside", True) for rec in out["records"])

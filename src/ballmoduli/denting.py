@@ -45,9 +45,10 @@ def modulus_convexity(space: SpaceDescriptor, t: float,
     -p_i, is least at the interval's two ends (the lemma at -p_i).  The
     ends are found for all i at once by bisection (``_arc_min``), and the
     objective is taken at the first offsets from each end whose float
-    distance passes tau.  ``BudgetError`` is raised when the norm
-    evaluations this path makes would pass ``max_evals``; in 3-D, when half
-    the n^2 pair grid would.
+    distance passes tau.  Where no grid pair passes t (at t = 2 on a grid
+    without antipodal pairs), the upper end is 1, the objective at (x, -x).
+    ``BudgetError`` is raised when the norm evaluations this path makes
+    would pass ``max_evals``; in 3-D, when half the n^2 pair grid would.
     """
     if not (0.0 < t <= 2.0):
         raise DomainError(f"modulus of convexity needs 0 < t <= 2, got {t}")
@@ -64,12 +65,10 @@ def modulus_convexity(space: SpaceDescriptor, t: float,
         best_feas, best_relax = (_arc_min(norms, pts, tau) for tau in taus)
     else:
         best_feas, best_relax = _all_pairs_min(space, pts, taus, budget.max_evals)
-    if not math.isfinite(best_feas):
-        # symmetric grids contain antipodal pairs at distance 2 >= t, so this
-        # only triggers on pathological resolutions
-        raise BudgetError("no feasible pair found; refine the resolution")
-    # delta >= 0 a priori; a negative value is rounding in ||x+y|| <= 2
-    return Bracket(lower=max(0.0, best_relax - h), upper=max(best_feas, 0.0),
+    # the pair (x, -x) is feasible for every t <= 2 with objective 1, so
+    # delta <= 1 even where no grid pair passes (an odd 2-D grid at t = 2);
+    # delta >= 0 a priori, and a negative value is rounding in ||x+y|| <= 2
+    return Bracket(lower=max(0.0, best_relax - h), upper=min(max(best_feas, 0.0), 1.0),
                    method=GRID, resolution=res, lipschitz=1.0, seed=budget.seed)
 
 

@@ -243,22 +243,17 @@ def s_point_exact(ball: Polygon, x: Vec, f: Vec, t: Fraction) -> Fraction:
 # -- denting sign tests ----------------------------------------------------
 
 
-def denting_nonpositive(ball: Polygon, g: Vec, t: Fraction) -> Optional[Vec]:
+def denting_nonpositive(ball: Polygon, g: Vec, t: Fraction) -> bool:
     """Exact test that sup_f s(g, f, t) <= 0 for g on the sphere of ``ball``.
 
     The sup is nonpositive iff for every unit direction u one of
-    g +- (t/4) u stays in the ball.  Returns None when that holds, or a
-    witness direction u where both signs leave the ball.
+    g +- (t/4) u stays in the ball: on each sphere edge the parameters of
+    the two signs form two closed intervals, which must cover [0, 1].
     """
     r = t / 4
-    for v, w in ball.edges():
-        iv_plus = _direction_interval(ball, g, v, w, r)
-        iv_minus = _direction_interval(ball, g, v, w, -r)
-        gap = _uncovered_param(iv_plus, iv_minus)
-        if gap is not None:
-            lam = gap
-            return (v[0] + lam * (w[0] - v[0]), v[1] + lam * (w[1] - v[1]))
-    return None
+    return all(_covers_unit_interval(_direction_interval(ball, g, v, w, r),
+                                     _direction_interval(ball, g, v, w, -r))
+               for v, w in ball.edges())
 
 
 def _direction_interval(ball: Polygon, g: Vec, v: Vec, w: Vec, r: Fraction
@@ -274,30 +269,29 @@ def _direction_interval(ball: Polygon, g: Vec, v: Vec, w: Vec, r: Fraction
     return segment_interval((ZERO, ZERO), (ONE, ZERO), hp)
 
 
-def _uncovered_param(i1: Optional[tuple[Fraction, Fraction]],
-                     i2: Optional[tuple[Fraction, Fraction]]) -> Optional[Fraction]:
-    """A point of [0,1] missed by the union of two closed intervals, if any."""
-    ivs = sorted(i for i in (i1, i2) if i is not None)
+def _covers_unit_interval(i1: Optional[tuple[Fraction, Fraction]],
+                          i2: Optional[tuple[Fraction, Fraction]]) -> bool:
+    """Whether the union of two closed intervals (None: empty) covers [0, 1]."""
     cur = ZERO
-    for lo, hi in ivs:
+    for lo, hi in sorted(i for i in (i1, i2) if i is not None):
         if lo > cur:
-            return (cur + lo) / 2
+            return False
         cur = max(cur, hi)
-    if cur < 1:
-        return (cur + 1) / 2
-    return None
+    return cur >= 1
 
 
 # -- d*_0 coverage over a neighbourhood ------------------------------------
 
 
-def dstar_zero_nonpositive(primal_ball: Polygon, f: Vec, t: Fraction
-                           ) -> Optional[tuple[Vec, Vec]]:
+def dstar_zero_nonpositive(primal_ball: Polygon, f: Vec, t: Fraction) -> bool:
     """Exact test that d*(g, t) <= 0 for every g on S(X*) with ||f-g|| <= t.
 
-    Works on the dual ball (polar of the primal polygon).  Returns None on
-    success or a witness (g, u) with both g +- (t/4) u outside the dual
-    ball.  Combined with d*(f, t) >= 0 this pins d*_0(f, t) = 0 exactly.
+    Works on the dual ball (polar of the primal polygon): for each piece
+    [ga, gb] of a dual sphere edge inside the closed t-neighbourhood of f
+    and each edge [v, w] of directions, the square of parameters (mu, lam)
+    must be covered by the two sets where g(mu) +- (t/4) u(lam) stays in
+    the dual ball.  Combined with d*(f, t) >= 0 this pins d*_0(f, t) = 0
+    exactly.
     """
     dual = primal_ball.polar()
     r = t / 4
@@ -309,21 +303,22 @@ def dstar_zero_nonpositive(primal_ball: Polygon, f: Vec, t: Fraction
         lo, hi = seg
         ga = (g0[0] + lo * (g1[0] - g0[0]), g0[1] + lo * (g1[1] - g0[1]))
         gb = (g0[0] + hi * (g1[0] - g0[0]), g0[1] + hi * (g1[1] - g0[1]))
-        for v, w in dual.edges():
-            witness = _square_coverage_witness(dual, ga, gb, v, w, r)
-            if witness is not None:
-                mu, lam = witness
-                g = (ga[0] + mu * (gb[0] - ga[0]), ga[1] + mu * (gb[1] - ga[1]))
-                u = (v[0] + lam * (w[0] - v[0]), v[1] + lam * (w[1] - v[1]))
-                return (g, u)
-    return None
+        if not all(_square_covered(dual, ga, gb, v, w, r) for v, w in dual.edges()):
+            return False
+    return True
 
 
-def _square_coverage_witness(ball: Polygon, ga: Vec, gb: Vec, v: Vec, w: Vec,
-                             r: Fraction) -> Optional[tuple[Fraction, Fraction]]:
-    """Check [0,1]^2 (mu, lam) is covered by R+ union R-, where R(sigma) is
+def _square_covered(ball: Polygon, ga: Vec, gb: Vec, v: Vec, w: Vec,
+                    r: Fraction) -> bool:
+    """Whether [0,1]^2 (mu, lam) is covered by R+ union R-, where R(sigma) is
     the set with g(mu) + sigma r u(lam) inside the ball.  Both sets are
-    intersections of halfplanes that are linear in (mu, lam)."""
+    intersections of closed halfplanes that are linear in (mu, lam).
+
+    The points outside R+ are the union, over the halfplanes of R+, of the
+    open pieces square ∩ {a.x > b}.  A non-empty open piece has the closed
+    piece square ∩ {a.x >= b} as its closure, and R- is closed and convex,
+    so the piece lies in R- iff every vertex of the closed piece does.
+    """
     dg, du = sub(gb, ga), sub(w, v)
 
     def halfplanes(sigma: int) -> list[HalfPlane]:
@@ -335,35 +330,12 @@ def _square_coverage_witness(ball: Polygon, ga: Vec, gb: Vec, v: Vec, w: Vec,
             hp.append((c_mu, c_lam, 1 - c0))
         return hp
 
-    hp_plus, hp_minus = halfplanes(1), halfplanes(-1)
     square = [(ZERO, ZERO), (ONE, ZERO), (ONE, ONE), (ZERO, ONE)]
-
-    def in_all(p: tuple[Fraction, Fraction], hps: list[HalfPlane]) -> bool:
-        return all(a1 * p[0] + a2 * p[1] <= b for a1, a2, b in hps)
-
-    # Any uncovered point violates some R+ halfplane strictly, so it lies in
-    # a piece square ∩ {a.x >= b} with an off-line vertex; R- is convex, so
-    # if all vertices of such a piece are in R- the piece is covered.
-    for a1, a2, b in hp_plus:
+    hp_minus = halfplanes(-1)
+    for a1, a2, b in halfplanes(1):
         piece = clip_polygon(square, [(-a1, -a2, -b)])
-        if not piece:
-            continue
-        off_line = [q for q in piece if a1 * q[0] + a2 * q[1] > b]
-        if not off_line:
-            continue  # degenerate sliver on the facet line
-        for p in piece:
-            if in_all(p, hp_minus):
-                continue
-            if not in_all(p, hp_plus):
-                return p
-            # p sits on the R+ boundary; slide toward an off-line vertex to
-            # leave R+ while staying (by closedness) outside R-
-            q = off_line[0]
-            step = ONE
-            for _ in range(128):
-                x = (p[0] + step * (q[0] - p[0]), p[1] + step * (q[1] - p[1]))
-                if not in_all(x, hp_minus) and not in_all(x, hp_plus):
-                    return x
-                step = step / 2
-            raise ArithmeticError("coverage perturbation failed to converge")
-    return None
+        if not any(a1 * q[0] + a2 * q[1] > b for q in piece):
+            continue  # the open piece is empty
+        if not all(c1 * q[0] + c2 * q[1] <= c for q in piece for c1, c2, c in hp_minus):
+            return False
+    return True

@@ -1,9 +1,13 @@
 """Independent ground truth for the certified engines.
 
 Two paths: a plain brute-force Lipschitz grid search (dimension <= 3)
-written without reference to the engine modules, and exact rational
-enumeration for 2-D polyhedral norms.  The verification harness compares
-engine brackets against both.
+and exact rational enumeration for 2-D polyhedral norms.  The verification
+harness compares engine brackets against both.  The grid search has its
+own grids and scans, but it shares with the engine the norm kernels
+(``spaces._norm_array``, ``_dual_norm_array``, ``polar_space``) and the
+3-D icosphere with its covering radius (``gridutil._icosphere``,
+``_max_circumradius``): a change to those moves both sides of a
+comparison.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ def _sphere(space: SpaceDescriptor, resolution: float) -> tuple[np.ndarray, floa
 def grid_bracket(kind: str, space: SpaceDescriptor, resolution: float,
                  **args) -> Bracket:
     """Brute-force certified bracket for one of the supported problem kinds:
-    delta, s, d, d_global, beta, beta_sup, slice-diameter."""
+    delta, s, d, beta, beta_sup, slice-diameter."""
     if resolution <= 0:
         raise DomainError("resolution must be positive")
     if space.dim > 3:
@@ -75,7 +79,6 @@ def grid_bracket(kind: str, space: SpaceDescriptor, resolution: float,
         "delta": _g_delta,
         "s": _g_s,
         "d": _g_d,
-        "d_global": _g_d_global,
         "beta": _g_beta,
         "beta_sup": _g_beta_sup,
         "slice-diameter": _g_slice,
@@ -147,16 +150,6 @@ def _g_d(space, resolution, *, x, t):
         _, up_t, _ = _g_s(space, resolution, x=xa, f=fa, t=t + 4.0 * m)
         upper = max(upper, up_t)
     return lower, upper + m, 3.0 + t / 4.0
-
-
-def _g_d_global(space, resolution, *, t):
-    pts, h_x = _sphere(space, resolution * 4.0)
-    lows, ups = [], []
-    for xa in pts:
-        lo, up, _ = _g_d(space, resolution, x=xa, t=t)
-        lows.append(lo)
-        ups.append(up)
-    return max(0.0, min(lows) - h_x), min(ups), 1.0
 
 
 def _dual_ball_grid(space, resolution, fa):
@@ -250,25 +243,22 @@ def exact_s_point(space: SpaceDescriptor, x, f, t) -> Fraction:
 
 def exact_d_positive(space: SpaceDescriptor, x, t) -> bool:
     """Exact sign of d(x, t) on a 2-D polyhedral sphere: True iff positive."""
-    witness = exactpoly.denting_nonpositive(
+    return not exactpoly.denting_nonpositive(
         to_polygon(space), frac_vec(x), Fraction(t).limit_denominator(10 ** 12))
-    return witness is not None
 
 
 def exact_d_star_positive(space: SpaceDescriptor, f, t) -> bool:
     """Exact sign of d*(f, t): the same test on the polar polygon."""
-    witness = exactpoly.denting_nonpositive(
+    return not exactpoly.denting_nonpositive(
         to_polygon(space).polar(), frac_vec(f),
         Fraction(t).limit_denominator(10 ** 12))
-    return witness is not None
 
 
 def exact_d_star_zero_is_zero(space: SpaceDescriptor, f, t) -> bool:
     """True when d*_0(f, t) = 0 exactly: no g in the closed t-neighbourhood
     of f on the dual sphere is w*-denting at scale t."""
-    witness = exactpoly.dstar_zero_nonpositive(
+    return exactpoly.dstar_zero_nonpositive(
         to_polygon(space), frac_vec(f), Fraction(t).limit_denominator(10 ** 12))
-    return witness is None
 
 
 # -- the fixed oracle/engine battery ---------------------------------------

@@ -8,7 +8,8 @@ section interior to the ball are relative-interior, hence not extreme).
 
 In the plane the pair search is linear in the slice's grid points.  The
 grid points with v(g) >= a form one cyclic run of the grid's angular order,
-because a convex curve meets a half-plane in one arc.  For a run point
+because a convex curve meets a half-plane in one arc (rounding can split it
+on a flat face at the threshold; ``_max_pair`` closes the gaps).  For a run point
 p_i, k -> ||p_i - p_{i+k}|| does not decrease up to the antipode and does
 not increase after it (``gridutil.sphere_grid`` states the order and the
 monotonicity lemma of Martini, Swanepoel & Weiss, Expo. Math. 19 (2001),
@@ -26,12 +27,11 @@ from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bracket import GRID, MULTISTART, Bracket
 from .config import Budget, resolve
 from .denting import modulus_convexity, _resolution
-from .errors import BallConstructionError, BudgetError, DomainError
+from .errors import BallConstructionError, DomainError
 from .gridutil import lowdisc_sphere, sphere_grid
 from .spaces import (Point, SpaceDescriptor, duality_preimage, polar_space,
                      _coords, _dual_norm_array, _norm_array, _unit_coords)
@@ -98,8 +98,9 @@ def _max_pair(space: SpaceDescriptor, grid_points: np.ndarray,
     """Largest ||g - g'|| over the grid points selected by ``mask``.
 
     In the plane ``grid_points`` is a ``sphere_grid`` in angular order and
-    the mask must be one cyclic run of it (see the module docstring); a
-    mask that is not one run raises ``BudgetError``.  Elsewhere every pair
+    the mask is one cyclic run of it (see the module docstring), or one run
+    split by rounding on a flat face at the threshold; the scan covers the
+    shortest cyclic run holding every masked point.  Elsewhere every pair
     is compared, in blocks of ``_PAIR_CHUNK`` rows.
     """
     m = int(np.count_nonzero(mask))
@@ -120,11 +121,16 @@ def _max_pair_arc(space: SpaceDescriptor, grid_points: np.ndarray,
     n = len(grid_points)
     start = 0
     if m < n:
-        starts = np.flatnonzero(mask & ~np.roll(mask, 1))
-        if len(starts) != 1:
-            raise BudgetError(f"slice grid points form {len(starts)} arcs, not one; "
-                              f"change the resolution")
-        start = int(starts[0])
+        # the shortest cyclic run holding every masked point starts after the
+        # largest gap; in exact arithmetic it is the masked run itself, and
+        # where rounding splits it (a flat face at the threshold) the points
+        # between its pieces lie on the segment joining masked points, so by
+        # convexity of the norm they change no pair maximum
+        idx = np.flatnonzero(mask)
+        gaps = np.diff(idx, append=idx[0] + n)
+        j = int(np.argmax(gaps))
+        start = int(idx[(j + 1) % len(idx)])
+        m = n - int(gaps[j]) + 1
     run = grid_points[(start + np.arange(m)) % n]
     # a position's candidate partners: both ends of the run and the
     # antipodal positions floor(n/2) and ceil(n/2) ahead of it; a position
@@ -256,6 +262,10 @@ def construct_separating_ball(space: SpaceDescriptor, C: Sequence[Sequence[float
     norming point x2 of f at threshold eta = 1 - 2k(1-gamma) has certified
     diameter < eps/4M1; then the ball B[lam x2, lam - d - 3 eps/4] with
     lam = M1/(1-eta) and d = d(0, C + (3 eps/4)B)(1-eta)/(1+eta) works.
+    The recipe needs the distance only from below (a larger d shrinks the
+    ball, which can then miss C): d(0, C) is taken from ``_distance_to_hull``
+    on the dual grid of the slice search, a certified lower bound within
+    h max_i ||v_i|| of it, and d(0, C + (3 eps/4)B) = max(0, d(0, C) - 3 eps/4).
     All three postconditions (containment of C, inf f over the ball
     >= eps/2, radius <= K = lam) are verified numerically to 1e-6; any
     violation raises BallConstructionError with the failed condition.
@@ -298,7 +308,7 @@ def construct_separating_ball(space: SpaceDescriptor, C: Sequence[Sequence[float
             f"diameter < {target:.6g}; the dual ball is not uniformly "
             f"w*-denting at this scale")
 
-    d0C = _distance_to_hull(space, V)
+    d0C = _distance_to_hull(space, V, slice_budget.resolution)
     d0D = max(d0C - 0.75 * eps, 0.0)
     d = d0D * (1.0 - eta) / (1.0 + eta)
     lam = M1 / (1.0 - eta)
@@ -321,18 +331,16 @@ def construct_separating_ball(space: SpaceDescriptor, C: Sequence[Sequence[float
                           lam=lam, k=k, gamma=gamma, eta=eta, d=d, M1=M1, K=K)
 
 
-def _distance_to_hull(space: SpaceDescriptor, V: np.ndarray) -> float:
-    """min ||sum_i w_i v_i|| over the simplex of vertex weights."""
-    n = len(V)
-    if n == 1:
-        return float(_norm_array(space, V[0]))
+def _distance_to_hull(space: SpaceDescriptor, V: np.ndarray, res: float) -> float:
+    """Lower bound on the distance from the origin to the convex hull of the
+    rows of V, within h max_i ||v_i|| of it (h the covering radius of the
+    dual grid at ``res``).
 
-    def objective(w: np.ndarray) -> float:
-        return float(_norm_array(space, w @ V))
-
-    w0 = np.full(n, 1.0 / n)
-    out = minimize(objective, w0, method="SLSQP",
-                   bounds=[(0.0, 1.0)] * n,
-                   constraints=[{"type": "eq", "fun": lambda w: np.sum(w) - 1.0}],
-                   options={"maxiter": 200, "ftol": 1e-12})
-    return float(out.fun)
+    By the minimum-norm duality theorem (Luenberger, Optimization by Vector
+    Space Methods, 1969, Ch. 5), d(0, conv V) = max(0, sup over unit
+    functionals g of min_i g(v_i)).  Every unit g of the dual sphere grid
+    gives a lower bound; the maximizer has a grid neighbour g0 with
+    ||g - g0||* <= h, and |g(v_i) - g0(v_i)| <= h ||v_i||.
+    """
+    G = sphere_grid(polar_space(space), res).points
+    return max(0.0, float(np.max(np.min(G @ V.T, axis=1))))

@@ -122,3 +122,18 @@ class TestVerify:
 
 def test_missing_subcommand_exits_2(capsys):
     assert cli.main([]) == 2
+
+
+class TestOracleDiff:
+    def test_budget_and_seed_reach_the_battery(self, capsys, monkeypatch):
+        from ballmoduli.config import DEFAULT_BUDGET, Budget
+        seen = []
+
+        def battery(budget=None):
+            seen.append(budget)
+            return {"n_instances": 0, "n_overlap": 0, "records": []}
+
+        monkeypatch.setattr(cli, "run_oracle_battery", battery)
+        assert run(capsys, "oracle-diff", "--budget", "1000", "--seed", "3")[0] == 0
+        assert run(capsys, "oracle-diff")[0] == 0
+        assert seen == [Budget(max_evals=1000, seed=3), DEFAULT_BUDGET]

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ballmoduli import (Bracket, Budget, BudgetError, Slice, beta_point, beta_sup,
-                        dual_norm, duality_preimage, modulus_convexity, norm,
-                        pairing, polar_space, polyhedral_space, preset, s_point,
+from ballmoduli import (Bracket, Budget, Slice, beta_point, beta_sup,
+                        d_star_zero, dual_norm, duality_preimage, modulus_convexity,
+                        norm, pairing, polar_space, polyhedral_space, preset, s_point,
                         slice_diameter, support_functional, weighted_lp_space,
                         witness_functional)
 from ballmoduli import oracle
 from ballmoduli.exactpoly import Polygon
 from ballmoduli.gridutil import sharp_equiv_constants, sphere_grid
-from ballmoduli.slices import _max_pair
+from ballmoduli.slices import _distance_to_hull, _max_pair
 from ballmoduli.spaces import _norm_array, _support_array
 
 PRESETS = ["l2-2", "l2-3", "lp:1.5-2d", "lp:3-2d", "l1-2d", "linf-2d",
@@ -97,14 +97,6 @@ class TestBracketAlgebra:
         assert b.width == pytest.approx(w)
         assert b.contains(b.midpoint)
         assert b.overlaps(Bracket.exact(v))
-
-    @given(finite, finite)
-    @settings(max_examples=60, deadline=None)
-    def test_hull_contains_both(self, a, b):
-        lo, hi = min(a, b), max(a, b)
-        h = Bracket.exact(a).hull(Bracket.exact(b))
-        assert h.lower == pytest.approx(lo)
-        assert h.upper == pytest.approx(hi)
 
     def test_invalid_bracket_rejected(self):
         for lower, upper in ((1.0, 0.0), (math.nan, 0.0), (0.0, math.nan)):
@@ -196,22 +188,19 @@ def _all_pairs_max(space, pts):
 
 
 def _all_pairs_delta(space, grid, t):
-    """(lower, upper) of modulus_convexity from every pair of the grid, or
-    None where no pair is at distance >= t."""
+    """(lower, upper) of modulus_convexity from every pair of the grid; the
+    upper end is 1, the objective at (x, -x), where no pair is at distance
+    >= t."""
     P, h = grid.points, grid.covering
     vals = 1.0 - 0.5 * _norm_array(space, P[:, None, :] + P[None, :, :])
     dist = _norm_array(space, P[:, None, :] - P[None, :, :])
     feas, relax = vals[dist >= t], vals[dist >= t - 2.0 * h]
-    if not feas.size:
-        return None
-    return max(0.0, float(np.min(relax)) - h), max(float(np.min(feas)), 0.0)
+    upper = min(max(float(np.min(feas)), 0.0), 1.0) if feas.size else 1.0
+    return max(0.0, float(np.min(relax)) - h), upper
 
 
 def _engine_delta(space, t, res):
-    try:
-        b = modulus_convexity(space, t, Budget(resolution=res))
-    except BudgetError:
-        return None
+    b = modulus_convexity(space, t, Budget(resolution=res))
     return b.lower, b.upper
 
 
@@ -219,6 +208,10 @@ class TestPlanePairScans:
     """The 2-D slice and delta scans, which compare O(n log n) candidate
     pairs chosen through the grid's angular order, against every pair."""
 
+    # rounding puts the dual square's left-face points at -1 and
+    # -0.9999999999999999 alternately, which splits the mask into 4 runs
+    @example(polyhedral_space([(-0.625, 0), (0, -0.625), (0.625, 0), (0, 0.625)]),
+             True, 40, 0.0, -0.9999999999999999)
     @given(planes(), st.booleans(), st.integers(40, 600),
            st.floats(0.0, 2.0 * math.pi), st.floats(-1.0, 0.999))
     @settings(max_examples=200, deadline=None)
@@ -250,3 +243,97 @@ class TestPlanePairScans:
     def test_delta_at_t2_on_odd_grid(self, space, k):
         res, grid = _grid_of_size(space, 2 * k + 1)
         assert _engine_delta(space, 2.0, res) == _all_pairs_delta(space, grid, 2.0)
+
+
+def _euclidean_hull_distance(V):
+    """Exact distance from the origin to the convex hull of the rows of V in
+    the Euclidean plane: 0 inside a triangle of vertices, else the least
+    distance to a segment between two of them."""
+    def seg(p, q):
+        d = q - p
+        lam = 0.0 if not d.any() else min(max(-float(p @ d) / float(d @ d), 0.0), 1.0)
+        return float(np.linalg.norm(p + lam * d))
+
+    def cross(p, q):
+        return p[0] * q[1] - p[1] * q[0]
+
+    k = len(V)
+    for i in range(k):
+        for j in range(i + 1, k):
+            for m in range(j + 1, k):
+                c = [cross(V[i], V[j]), cross(V[j], V[m]), cross(V[m], V[i])]
+                if min(c) > 0 or max(c) < 0:
+                    return 0.0
+    return min(seg(V[i], V[j]) for i in range(k) for j in range(i, k))
+
+
+def _weights_grid_distance(space, V, n):
+    """min ||sum_i w_i v_i|| over convex weights with denominator n: an upper
+    bound on the distance from the origin to the hull, at most
+    (k - 1) max_i ||v_i|| / n above it for k rows."""
+    k = len(V)
+    if k == 1:
+        return float(norm(space, V[0]))
+    a = np.arange(n + 1)
+    if k == 2:
+        W = np.stack([a, n - a], axis=-1)
+    else:
+        i, j = np.meshgrid(a, a, indexing="ij")
+        keep = i + j <= n
+        W = np.stack([i[keep], j[keep], n - i[keep] - j[keep]], axis=-1)
+    return float(np.min(_norm_array(space, (W / n) @ V)))
+
+
+hull_points = st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                       min_size=1, max_size=3).map(np.array)
+
+
+class TestHullDistance:
+    """The separating ball's d(0, C): a dual-grid lower bound within
+    h max_i ||v_i|| of the true distance (minimum-norm duality)."""
+
+    @given(hull_points, st.floats(0.02, 0.3))
+    @settings(max_examples=100, deadline=None)
+    def test_euclidean_within_covering(self, V, res):
+        space = preset("l2-2")
+        h = sphere_grid(polar_space(space), res).covering
+        d = _euclidean_hull_distance(V)
+        lower = _distance_to_hull(space, V, res)
+        assert d - h * float(np.max(np.linalg.norm(V, axis=1))) - 1e-12 <= lower <= d + 1e-12
+
+    @given(planes(), hull_points, st.floats(0.02, 0.3))
+    @settings(max_examples=60, deadline=None)
+    def test_plane_within_covering(self, space, V, res):
+        h = sphere_grid(polar_space(space), res).covering
+        n = 300
+        M = float(np.max(_norm_array(space, V)))
+        upper = _weights_grid_distance(space, V, n)
+        lower = _distance_to_hull(space, V, res)
+        assert upper - (h + (len(V) - 1) / n) * M - 1e-12 <= lower <= upper + 1e-12
+
+
+def _dual_edge_point(poly: Polygon, i: int, lam: Fraction):
+    return _floats(_edge_point(poly.polar(), i, lam))
+
+
+class TestExactSignTests:
+    """Consequences of d*0(f, t) >= d*(f, t) >= 0 for the exact sign tests."""
+
+    @given(rational_polygons(), st.integers(0, 7), st.integers(0, 16),
+           st.integers(1, 31))
+    @settings(max_examples=60, deadline=None)
+    def test_d_star_positive_rules_out_d_star_zero_zero(self, poly, i, k, m):
+        space = polyhedral_space([_floats(v) for v in poly.vertices])
+        f, t = _dual_edge_point(poly, i, Fraction(k, 16)), m / 16
+        if oracle.exact_d_star_positive(space, f, t):
+            assert not oracle.exact_d_star_zero_is_zero(space, f, t)
+
+    # small t at interior points of the dual edges, where d*0 = 0 is common
+    @given(rational_polygons(), st.integers(0, 7), st.integers(1, 15),
+           st.integers(1, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_d_star_zero_zero_pins_the_engine_lower_end(self, poly, i, k, m):
+        space = polyhedral_space([_floats(v) for v in poly.vertices])
+        f, t = _dual_edge_point(poly, i, Fraction(k, 16)), m / 32
+        if oracle.exact_d_star_zero_is_zero(space, f, t):
+            assert d_star_zero(space, f, t, Budget(resolution=0.3)).lower == 0

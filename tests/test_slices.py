@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ballmoduli import (MULTISTART, BallConstructionError, Budget, BudgetError,
+from ballmoduli import (MULTISTART, BallConstructionError, Budget,
                         DimensionMismatchError, DomainError,
                         SeparatingBall, Slice, construct_separating_ball,
-                        f_eps_radius, norm, pairing, preset, slice_diameter)
-from ballmoduli.gridutil import sphere_grid
+                        f_eps_radius, norm, pairing, polar_space, polyhedral_space,
+                        preset, slice_diameter)
+from ballmoduli.gridutil import sharp_equiv_constants, sphere_grid
 from ballmoduli.slices import _max_pair
+from ballmoduli.spaces import _norm_array
 
 
 class TestSliceDiameter:
@@ -42,9 +44,19 @@ class TestSliceDiameter:
         mask[[-2, -1, 0, 1]] = True  # one run, across the wrap-around
         assert _max_pair(space, pts, mask) == pytest.approx(
             float(np.linalg.norm(pts[-2] - pts[1])), abs=1e-15)
-        mask[5] = True
-        with pytest.raises(BudgetError):
-            _max_pair(space, pts, mask)
+        # the dual square's left-face points sit at -1 and -0.9999999999999999
+        # alternately, so the mask at that threshold forms 4 runs; the scan
+        # covers the shortest run holding them all
+        W = polar_space(polyhedral_space([(-0.625, 0), (0, -0.625), (0.625, 0),
+                                          (0, 0.625)]))
+        L = sharp_equiv_constants(W).projection_lipschitz
+        pts = sphere_grid(W, math.pi * L / 39.5).points
+        mask = pts[:, 0] * 0.625 >= -0.9999999999999999
+        starts = np.flatnonzero(mask & ~np.roll(mask, 1))
+        assert len(pts) == 40 and len(starts) == 4
+        P = pts[mask]
+        expected = float(np.max(_norm_array(W, P[:, None, :] - P[None, :, :])))
+        assert abs(_max_pair(W, pts, mask) - expected) <= 1e-15
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):

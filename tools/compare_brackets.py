@@ -16,6 +16,11 @@ its method tag, every norm value and every functional coordinate:
   thresholds 0.002, 0.3, 0.6 and 0.999 on the six 2-D presets, and the
   modulus of convexity at t = 0.3, 1, 1.7 and 2 and resolutions 2e-2 and
   1.5e-3 on the 2-D spaces;
+- ``construct_separating_ball``'s radius, d, gamma and eta on the disk
+  instance of the slice-geometry workload (C fixed inside its drawn
+  ranges), on an lp:3 plane and on a single point;
+- the exact sign tests d > 0, d* > 0 and d*0 = 0, as 0/1, at points of
+  seeded rational polygons;
 - norm, dual norm and support functional at seeded random points.
 
 ``diff`` prints the number of values compared, the largest absolute
@@ -28,7 +33,9 @@ is tagged so); it exits 1 if the call lists differ.
 from __future__ import annotations
 
 import json
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -57,6 +64,8 @@ def calls(bm):
     yield from _d_family(bm)
     yield from _slice_s_beta(bm)
     yield from _pair_scans(bm)
+    yield from _separating_balls(bm)
+    yield from _sign_tests(bm)
 
 
 def _d_family(bm):
@@ -125,6 +134,58 @@ def _pair_scans(bm):
                        lambda: bm.modulus_convexity(sp, t, bm.Budget(resolution=res)))
 
 
+def _separating_balls(bm):
+    cases = [("l2-2", [(0.84, -0.07), (0.84, 0.07)], 0.8, bm.Budget(resolution=1.5e-3)),
+             ("lp:3-2d", [(0.6, -0.2), (0.7, 0.3), (0.65, 0.0)], 0.5, None),
+             ("l2-2", [(0.5, 0.0)], 0.5, None)]
+    for name, C, eps, budget in cases:
+        def ball():
+            b = bm.construct_separating_ball(_space(bm, name), C, (1.0, 0.0), eps, 1.0, budget)
+            return [b.radius, b.d, b.gamma, b.eta], "ball"
+        yield f"separating_ball {name} {len(C)}", ball
+
+
+def _rational_polygon(rng):
+    """A symmetric polygon with 4 to 8 vertices on the 1/16 grid, or None."""
+    from ballmoduli.exactpoly import Polygon
+    pairs = int(rng.integers(2, 5))
+    half = []
+    for k in range(pairs):
+        a = math.pi * (k + rng.uniform()) / pairs
+        r = int(rng.integers(10, 17))
+        half.append((Fraction(round(r * math.cos(a)), 16), Fraction(round(r * math.sin(a)), 16)))
+    try:
+        poly = Polygon(half + [(-x, -y) for x, y in half])
+    except ValueError:
+        return None
+    return poly if len(poly.vertices) >= 4 else None
+
+
+def _sign_tests(bm):
+    from ballmoduli import oracle
+    rng = np.random.default_rng(0)
+    k = 0
+    while k < 60:
+        poly = _rational_polygon(rng)
+        if poly is None:
+            continue
+        sp = bm.polyhedral_space([tuple(float(c) for c in v) for v in poly.vertices])
+        edges, dual_edges = poly.edges(), poly.polar().edges()
+        (v, w) = edges[int(rng.integers(len(edges)))]
+        (g, h) = dual_edges[int(rng.integers(len(dual_edges)))]
+        lam = Fraction(int(rng.integers(0, 17)), 16)
+        x = tuple(float(a + lam * (b - a)) for a, b in zip(v, w))
+        f = tuple(float(a + lam * (b - a)) for a, b in zip(g, h))
+        t = int(rng.integers(1, 32)) / 16
+
+        def signs():
+            return [int(oracle.exact_d_positive(sp, x, t)),
+                    int(oracle.exact_d_star_positive(sp, f, t)),
+                    int(oracle.exact_d_star_zero_is_zero(sp, f, t))], "exact"
+        yield f"exact_signs poly{k} {t}", signs
+        k += 1
+
+
 def dump(path: str) -> None:
     import ballmoduli as bm
     from ballmoduli.spaces import _support_array
@@ -136,8 +197,10 @@ def dump(path: str) -> None:
             out[key], methods[key] = [], "BudgetError"
             print(key, "BudgetError", flush=True)
             continue
-        out[key], methods[key] = [b.lower, b.upper], b.method
-        print(key, b.lower, b.upper, b.method, flush=True)
+        # a call returns a bracket, or (values, tag) where it has no bracket
+        values, tag = ([b.lower, b.upper], b.method) if isinstance(b, bm.Bracket) else b
+        out[key], methods[key] = values, tag
+        print(key, *values, tag, flush=True)
     rng, rng_norm = np.random.default_rng(0), np.random.default_rng(1)
     for name in SUPPORT_SPACES:
         sp = _space(bm, name)
