@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .spaces import SpaceDescriptor, _dual_norm_array, _norm_array
+from .spaces import SpaceDescriptor, _dual_norm_array, _facet_subsets, _norm_array
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _MAX_GRID_POINTS = 5_000_000  # a sphere grid larger than this raises BudgetError
@@ -136,15 +136,15 @@ def sphere_grid(space: SpaceDescriptor, resolution: float) -> SphereGrid:
 
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
+    """The 12 unit vertices (0, +-1, +-phi) and cyclic shifts, and the 20
+    triangular faces as vertex-index triples, from the facet enumeration."""
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     v = []
     for a, b in [(1, phi), (-1, phi), (1, -phi), (-1, -phi)]:
         v += [(0, a, b), (a, b, 0), (b, 0, a)]
     V = np.array(v, dtype=float)
     V /= np.linalg.norm(V, axis=1)[:, None]
-    from scipy.spatial import ConvexHull
-    F = ConvexHull(V).simplices
-    return V, F
+    return V, _facet_subsets(V)[0]
 
 
 def _subdivide(V: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

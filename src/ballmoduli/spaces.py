@@ -9,25 +9,67 @@ idempotently.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Literal, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.spatial import ConvexHull
 
-from .errors import DescriptorError, DimensionMismatchError, DomainError
+from .errors import BudgetError, DescriptorError, DimensionMismatchError, DomainError
 
 Side = Literal["primal", "dual"]
 
 _MAX_DIM = 8
+_MAX_FACET_SUBSETS = 1_000_000  # a facet enumeration over more subsets raises BudgetError
 
 
 def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
+
+
+def _facet_subsets(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Facets of conv(V) for a symmetric (n, dim) vertex array spanning R^dim.
+
+    With the origin interior, a facet hyperplane is exactly a supporting
+    hyperplane {a . x = 1} through dim linearly independent vertices.  So
+    every dim-subset of the rows is tried: singular subsets (|det| at most
+    1e-10 times the product of the row lengths) are skipped, a . v = 1 is
+    solved on the rest, and a is kept where max_v a . v <= 1 + 1e-9.
+    Subsets of one facet are merged by the vertices they touch, keeping the
+    first subset in lexicographic order.  Returns the subsets' vertex
+    indices, (m, dim) ints, and the rows a, (m, dim), one per facet, in
+    lexicographic order of the rows.  Raises BudgetError when there are more
+    than ``_MAX_FACET_SUBSETS`` subsets, before any is built.
+    """
+    n, d = V.shape
+    if math.comb(n, d) > _MAX_FACET_SUBSETS:
+        raise BudgetError(f"facet enumeration of {n} vertices in dimension {d} needs "
+                          f"{math.comb(n, d)} subsets, cap is {_MAX_FACET_SUBSETS}")
+    block = max(1, 4_000_000 // (n * d))  # keeps each temporary under ~4e6 entries
+    subsets = itertools.combinations(range(n), d)
+    idx, rows, touched = [], [], []
+    while True:
+        c = np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, block)),
+                        dtype=np.intp).reshape(-1, d)
+        if not len(c):
+            break
+        M = V[c]
+        live = np.abs(np.linalg.det(M)) > 1e-10 * np.prod(np.linalg.norm(M, axis=2), axis=1)
+        c, M = c[live], M[live]
+        a = np.linalg.solve(M, np.ones((len(M), d, 1)))[..., 0]
+        vals = a @ V.T
+        ok = vals.max(axis=1) <= 1.0 + 1e-9
+        idx.append(c[ok])
+        rows.append(a[ok])
+        touched.append(np.packbits(vals[ok] >= 1.0 - 1e-9, axis=1))
+    _, first = np.unique(np.concatenate(touched), axis=0, return_index=True)
+    idx, A = np.concatenate(idx)[first], np.concatenate(rows)[first]
+    order = np.lexsort(A.T[::-1])
+    return idx[order], A[order]
 
 
 @dataclass(frozen=True)
@@ -60,9 +102,9 @@ class SpaceDescriptor:
             V = np.asarray(self.vertices, dtype=float)
             if V.ndim != 2 or V.shape[1] != self.dim:
                 raise DescriptorError("vertex coordinates must match the dimension")
-            # symmetry: v in V  =>  -v in V
+            # symmetry: v in V  =>  -v in V, to 1e-12 in each coordinate
             for v in V:
-                if not np.any(np.all(np.isclose(V, -v, atol=1e-12), axis=1)):
+                if not np.any(np.all(np.isclose(V, -v, rtol=0.0, atol=1e-12), axis=1)):
                     raise DescriptorError("polyhedral vertex set must be symmetric")
             if np.linalg.matrix_rank(V, tol=1e-12) < self.dim:
                 raise DescriptorError("polyhedral vertex set must span the space")
@@ -82,30 +124,15 @@ class SpaceDescriptor:
     def facets(self) -> np.ndarray:
         """Facet matrix F of a polyhedral ball: ||x|| = max_j (F @ x)_j.
 
-        Rows are the outward facet functionals normalized so that the facet
-        hyperplane is {y : F_j . y = 1}.  Built idempotently on demand.
+        One row per facet, the outward functional normalized so that the
+        facet hyperplane is {y : F_j . y = 1}, in lexicographic order (from
+        ``_facet_subsets``).  The rows are also the vertices of the polar
+        polytope.  Built idempotently on demand; raises BudgetError past the
+        enumeration's cap.
         """
         if self.kind != "polyhedral":
             raise DescriptorError("facet form only exists for polyhedral spaces")
-        V = np.asarray(self.vertices, dtype=float)
-        if self.dim == 1:
-            r = np.max(np.abs(V))
-            return np.array([[1.0 / r], [-1.0 / r]])
-        hull = ConvexHull(V)
-        # equations: n . x + b <= 0 on the hull; 0 is interior so b < 0
-        n, b = hull.equations[:, :-1], hull.equations[:, -1]
-        return n / (-b)[:, None]
-
-    @cached_property
-    def _dual_vertices(self) -> np.ndarray:
-        """Vertices of the dual polytope: the distinct facet functionals, in
-        lexicographic order."""
-        out: list[np.ndarray] = []
-        for row in self.facets:
-            if not any(np.allclose(row, r, atol=1e-10) for r in out):
-                out.append(row)
-        V = np.array(out)
-        return V[np.lexsort(V.T[::-1])]
+        return _facet_subsets(np.asarray(self.vertices, dtype=float))[1]
 
     @cached_property
     def block_slices(self) -> tuple[slice, ...]:
@@ -140,8 +167,9 @@ class SpaceDescriptor:
         kind = data["kind"]
         if kind == "polyhedral":
             verts = tuple(tuple(float(c) for c in v) for v in data["vertices"])
-            dim = data.get("dim", len(verts[0]))
-            return SpaceDescriptor(kind="polyhedral", dim=dim, vertices=verts)
+            if "dim" not in data:
+                return polyhedral_space(verts)
+            return SpaceDescriptor(kind="polyhedral", dim=data["dim"], vertices=verts)
         if kind == "lp-sum":
             comps = tuple(SpaceDescriptor.from_json(c) for c in data["components"])
             dim = data.get("dim", sum(c.dim for c in comps))
@@ -169,6 +197,8 @@ def weighted_lp_space(p: float, weights: Sequence[float]) -> SpaceDescriptor:
 
 def polyhedral_space(vertices: Sequence[Sequence[float]]) -> SpaceDescriptor:
     V = tuple(tuple(float(c) for c in v) for v in vertices)
+    if not V:
+        raise DescriptorError("polyhedral space requires a vertex set")
     return SpaceDescriptor(kind="polyhedral", dim=len(V[0]), vertices=V)
 
 
@@ -313,7 +343,7 @@ def polar_space(space: SpaceDescriptor) -> SpaceDescriptor:
         w = np.asarray(space.weights)
         return weighted_lp_space(space.q, tuple(w ** (-space.q / space.p)))
     if space.kind == "polyhedral":
-        return polyhedral_space([tuple(row) for row in space._dual_vertices])
+        return polyhedral_space([tuple(row) for row in space.facets])
     if space.kind == "lp-sum":
         return make_lp_sum([polar_space(c) for c in space.components], space.q)
     raise DescriptorError(space.kind)
@@ -338,16 +368,17 @@ def support_functional(space: SpaceDescriptor, x) -> Point:
 def _support_array(space: SpaceDescriptor, a: np.ndarray) -> np.ndarray:
     """``support_functional``'s selection for unit vectors in the rows of a
     (..., dim) array, unvalidated.  A polyhedral row gets the first (in
-    lexicographic order) dual vertex v with a . v >= min(||a||, 1) - 1e-9,
-    where ||a|| is the max of a . v over the dual vertices; the threshold
-    never exceeds that max, so the pick norms a to within 1e-9."""
+    lexicographic order) dual vertex, that is facet row, v with
+    a . v >= min(||a||, 1) - 1e-9, where ||a|| is the max of a . v over the
+    dual vertices; the threshold never exceeds that max, so the pick norms a
+    to within 1e-9."""
     if space.kind == "lp":
         return np.sign(a) * np.abs(a) ** (space.p - 1.0)
     if space.kind == "weighted-lp":
         w = np.asarray(space.weights)
         return w * np.sign(a) * np.abs(a) ** (space.p - 1.0)
     if space.kind == "polyhedral":
-        V = space._dual_vertices
+        V = space.facets
         vals = a @ V.T
         top = np.minimum(vals.max(axis=-1, keepdims=True), 1.0)
         return V[np.argmax(vals >= top - 1e-9, axis=-1)]
@@ -378,12 +409,13 @@ def duality_preimage(space: SpaceDescriptor, f) -> Point:
 
 
 def kernel_frame(space: SpaceDescriptor, f) -> np.ndarray:
-    """(dim-1, dim) array whose rows span ker f, Euclid-orthonormal."""
+    """(dim-1, dim) array whose rows span ker f, Euclid-orthonormal (K K^T = I,
+    K f = 0): the last dim-1 right singular vectors of the row f/|f|_2."""
     a = _coords(f, space, "dual")
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
         raise DomainError("kernel_frame requires a nonzero functional")
-    return null_space(a[None, :] / scale).T
+    return np.linalg.svd(a[None, :] / scale)[2][1:]
 
 
 # -- exact rational views (consumed by the oracle) -------------------------

@@ -48,6 +48,13 @@ class TestCompute:
                           "--modulus", "delta", "--t", "1")
             assert code == 2
 
+    def test_empty_vertex_list_exits_2(self, capsys):
+        for space in ('{"kind":"polyhedral","vertices":[]}',
+                      '{"kind":"polyhedral","dim":2,"vertices":[]}'):
+            code, _ = run(capsys, "compute", "--space", space,
+                          "--modulus", "delta", "--t", "1")
+            assert code == 2
+
     def test_missing_t_exits_2(self, capsys):
         code, _ = run(capsys, "compute", "--space", "l2-2",
                       "--modulus", "delta")

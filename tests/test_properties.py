@@ -134,6 +134,17 @@ def _floats(v) -> tuple[float, ...]:
     return tuple(float(c) for c in v)
 
 
+class TestFacetEnumeration:
+    @given(rational_polygons())
+    @settings(max_examples=60, deadline=None)
+    def test_float_facets_are_the_exact_facets(self, poly):
+        space = polyhedral_space([_floats(v) for v in poly.vertices])
+        F, E = space.facets, np.array([_floats(a) for a in poly.facets])
+        gap = np.max(np.abs(F[:, None, :] - E[None, :, :]), axis=2)
+        assert F.shape == E.shape
+        assert np.all(gap.min(axis=0) <= 1e-12) and np.all(gap.min(axis=1) <= 1e-12)
+
+
 class TestEngineContainsExact:
     """Every engine bracket on a rational polygon contains the exact value."""
 

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ballmoduli import (DescriptorError, DimensionMismatchError, DomainError,
+from ballmoduli import (BudgetError, DescriptorError, DimensionMismatchError, DomainError,
                         Point, Slice, SpaceDescriptor, beta_point, beta_sup,
                         construct_separating_ball, cross_polytope, d_point,
                         d_star, d_star_zero, dual_norm, duality_preimage,
@@ -12,7 +18,7 @@ from ballmoduli import (DescriptorError, DimensionMismatchError, DomainError,
                         polar_space, polyhedral_space, preset, s_point, s_star,
                         slice_diameter, support_functional, weighted_lp_space,
                         witness_functional)
-from ballmoduli.gridutil import lowdisc_sphere, sphere_grid
+from ballmoduli.gridutil import _icosphere, lowdisc_sphere, sphere_grid
 from ballmoduli.spaces import _support_array, exact_vertices, kernel_frame
 
 
@@ -164,12 +170,16 @@ class TestDualityMaps:
         assert np.array_equal(_support_array(space, X)[0], f)
 
     def test_kernel_frame_annihilates_f(self, rng):
-        space = lp_space(3, 2.0)
-        f = rng.normal(size=3)
-        f = f / dual_norm(space, f)
-        K = kernel_frame(space, f)
-        assert K.shape == (2, 3)
-        assert np.allclose(K @ f, 0.0, atol=1e-10)
+        # the 3-D kernel certificate also assumes orthonormal rows: K K^T = I
+        for name in ("l2-2", "l2-3", "l1-3d", "linf-3d"):
+            space = preset(name)
+            for _ in range(20):
+                f = rng.normal(size=space.dim)
+                f = f / dual_norm(space, f)
+                K = kernel_frame(space, f)
+                assert K.shape == (space.dim - 1, space.dim)
+                assert np.allclose(K @ K.T, np.eye(space.dim - 1), rtol=0.0, atol=1e-12)
+                assert np.allclose(K @ f, 0.0, rtol=0.0, atol=1e-12)
 
 
 class TestDescriptors:
@@ -190,6 +200,17 @@ class TestDescriptors:
     def test_block_slices(self):
         space = preset("l2sum-4")
         assert space.block_slices == (slice(0, 2), slice(2, 4))
+
+    def test_nearly_symmetric_vertex_set_raises(self):
+        # ||(1, 0)|| = 1 but ||(-1, 0)|| = 0.999995: not a norm
+        with pytest.raises(DescriptorError):
+            polyhedral_space([(1.0, 0.0), (-1.000005, 0.0), (0.0, 1.0), (0.0, -1.0)])
+
+    def test_empty_vertex_list_raises(self):
+        with pytest.raises(DescriptorError):
+            polyhedral_space([])
+        with pytest.raises(DescriptorError):
+            SpaceDescriptor.from_json({"kind": "polyhedral", "vertices": []})
 
     def test_malformed_descriptor_raises(self):
         with pytest.raises(DescriptorError):
@@ -254,3 +275,57 @@ class TestInputContract:
             s_point(space, Point.of(space, E1, side="dual"), E1, 1.0)
         with pytest.raises(DomainError):
             s_star(space, Point.of(space, E1), E1, 1.0)
+
+
+def _lex(rows) -> np.ndarray:
+    A = np.asarray(rows, dtype=float)
+    return A[np.lexsort(A.T[::-1])]
+
+
+class TestFacets:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_cross_polytope_and_hypercube_facets(self, d, rng):
+        signs = _lex(list(product([-1.0, 1.0], repeat=d)))
+        units = _lex(np.vstack([np.eye(d), -np.eye(d)]))
+        l1, linf = cross_polytope(d), hypercube(d)
+        assert np.array_equal(l1.facets, signs)
+        assert np.array_equal(linf.facets, units)
+        v = rng.normal(size=(50, d))
+        assert np.allclose(norm(l1, v), np.abs(v).sum(axis=1), rtol=0.0, atol=1e-12)
+        assert np.allclose(norm(linf, v), np.abs(v).max(axis=1), rtol=0.0, atol=1e-12)
+
+    def test_enumeration_cap_raises_budget_error_before_work(self):
+        space = hypercube(6)  # C(64, 6) vertex subsets, past the cap
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            norm(space, np.ones(6))
+        assert time.perf_counter() - start < 0.5
+
+    def test_icosahedron_faces(self):
+        V, F = _icosphere(0)
+        assert F.shape == (20, 3)
+        edges = {tuple(sorted((int(a), int(b)))) for f in F
+                 for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0]))}
+        lengths = [np.linalg.norm(V[a] - V[b]) for a, b in edges]
+        assert len(edges) == 30
+        assert np.allclose(lengths, lengths[0], rtol=0.0, atol=1e-12)
+        assert np.array_equal(np.bincount(F.ravel(), minlength=12), [5] * 12)
+        assert len(_icosphere(3)[0]) == 642
+
+
+def test_runtime_imports_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        "import ballmoduli as bm\n"
+        "sq = bm.preset('square-rot')\n"
+        "bm.slice_diameter(sq, bm.Slice.of(bm.support_functional(sq, sq.vertices[0]).array, 0.5))\n"
+        "l1 = bm.preset('l1-3d')\n"
+        "bm.norm(l1, [1.0, 2.0, 3.0]); bm.norm(bm.polar_space(l1), [1.0, 2.0, 3.0])\n"
+        "bm.d_point(bm.preset('l2-3'), [1.0, 0.0, 0.0], 0.5, bm.Budget(resolution=0.3))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

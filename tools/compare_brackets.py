@@ -21,7 +21,10 @@ its method tag, every norm value and every functional coordinate:
   ranges), on an lp:3 plane and on a single point;
 - the exact sign tests d > 0, d* > 0 and d*0 = 0, as 0/1, at points of
   seeded rational polygons;
-- norm, dual norm and support functional at seeded random points.
+- norm, dual norm and support functional at seeded random points, also on
+  the polytopes l1-3d, linf-3d, ``cross:4`` and ``cube:4`` (cross_polytope(4)
+  and hypercube(4)) and ``poly3d:S``, the symmetric hull of six seeded
+  Gaussian points in R^3 and their negatives (seed S).
 
 ``diff`` prints the number of values compared, the largest absolute
 difference overall, the number of differing values and their largest
@@ -43,13 +46,22 @@ SPACES_2D = ["l2-2", "lp:1.5-2d", "lp:3-2d", "l1-2d", "linf-2d", "square-rot",
              "weighted:3:1,2"]
 SPACES_3D = ["l2-3", "l1-3d", "linf-3d"]
 SUPPORT_SPACES = ["l2-2", "l2-3", "lp:1.5-2d", "lp:3-2d", "l1-2d", "linf-2d",
-                  "square-rot", "l2sum-4", "lpsum:3:l1-2d+lp:1.5-2d"]
+                  "square-rot", "l2sum-4", "lpsum:3:l1-2d+lp:1.5-2d", "l1-3d",
+                  "linf-3d", "cross:4", "cube:4", "poly3d:0", "poly3d:1"]
 
 
 def _space(bm, name):
-    if name.startswith("weighted:"):
-        _, p, w = name.split(":")
+    kind, _, arg = name.partition(":")
+    if kind == "weighted":
+        p, w = arg.split(":")
         return bm.weighted_lp_space(float(p), [float(v) for v in w.split(",")])
+    if kind == "cross":
+        return bm.cross_polytope(int(arg))
+    if kind == "cube":
+        return bm.hypercube(int(arg))
+    if kind == "poly3d":
+        half = np.random.default_rng(int(arg)).standard_normal((6, 3))
+        return bm.polyhedral_space(np.vstack([half, -half]).tolist())
     return bm.preset(name)
 
 
