@@ -117,8 +117,8 @@ def _beta_sup_grid(space: SpaceDescriptor, W: SpaceDescriptor, fa: np.ndarray,
     feas, relax, h_g = _candidate_surfaces(W, fa, t, res_g)
     lower = -math.inf
     upper = -math.inf
-    # blocks of <= 1e6 products (8 MB) keep the peak memory low
-    chunk = max(1, int(1_000_000 // max(len(feas), 1)))
+    # blocks of <= 2.5e5 products (2 MB) keep the peak memory low
+    chunk = max(1, int(250_000 // max(len(feas), 1)))
     for i in range(0, len(X), chunk):
         blk = X[i:i + chunk]
         up_pt = 1.0 - np.max(feas @ blk.T, axis=0)

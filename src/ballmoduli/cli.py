@@ -40,7 +40,7 @@ def _parse_space(text: str) -> SpaceDescriptor:
     if text.startswith("{"):
         try:
             return SpaceDescriptor.from_json(json.loads(text))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except json.JSONDecodeError as exc:
             raise DescriptorError(f"malformed space JSON: {exc}") from exc
     return preset(text)
 

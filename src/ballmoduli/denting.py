@@ -170,7 +170,7 @@ def _all_pairs_min(space: SpaceDescriptor, pts: np.ndarray, taus, max_evals: int
 
 def _kernel_mins(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray,
                  t: float, res: float, max_evals: int,
-                 r_tight: Optional[float] = None):
+                 r_tight: Optional[float] = None, stride: int = 1):
     """Certified minima of ||x+y|| - 1 over y in ker f with ||y|| >= r, one per
     row of xs and F (both (n, dim)), returned as (lower, upper) arrays.
 
@@ -198,6 +198,11 @@ def _kernel_mins(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray,
     Each chunk is scanned in its own call, so its (chunk, grid, dim) arrays
     are freed before the next chunk is built; holding them across the loop
     would put two full chunks in memory at once.
+
+    With ``stride`` > 1 only every stride-th grid point is scanned; the
+    step, slack, ring, chunks and budget test stay those of the full grid,
+    so each returned minimum is at least the full scan's (a minimum over a
+    subset), which is what ``_d_point_bounds`` prunes with.
     """
     eq = sharp_equiv_constants(space)
     r0, hi = t / 4.0, 2.0 + t / 4.0
@@ -217,6 +222,7 @@ def _kernel_mins(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray,
     else:
         raise DomainError("certified kernel scans are limited to dimension <= 3")
     slack = eq.C * (c[1] - c[0]) * math.sqrt(grid.shape[1]) / 2.0
+    n_grid, grid = len(grid), grid[::stride]
 
     def scan(B: np.ndarray, x: np.ndarray):
         Y = grid @ B
@@ -236,14 +242,14 @@ def _kernel_mins(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray,
         tight = np.where((w >= r_tight) & (w <= hi), vals, np.inf)
         return lo, np.minimum(np.min(tight, axis=1), ring_min(min(r_tight, hi)))
 
-    chunk = max(1, min(256 * n_c, max_evals) // len(grid))
+    chunk = max(1, min(256 * n_c, max_evals) // n_grid)
     lower = np.empty(len(F))
     upper = np.empty(len(F)) if r_tight is not None else None
     for i in range(0, len(F), chunk):
         B = bases[i:i + chunk]
-        if len(B) * len(grid) > max_evals:
+        if len(B) * n_grid > max_evals:
             raise BudgetError(
-                f"kernel scan of {len(B) * len(grid)} evaluations exceeds the budget")
+                f"kernel scan of {len(B) * n_grid} evaluations exceeds the budget")
         lo, up = scan(B, xs[i:i + chunk, None, :])
         lower[i:i + chunk] = lo
         if upper is not None:
@@ -288,6 +294,9 @@ def d_point(space: SpaceDescriptor, x, t: float,
                    resolution=res_f, lipschitz=2.0 + t / 4.0, seed=budget.seed)
 
 
+_PRUNE_STRIDE = 8  # grid stride of the pruning pass of _d_point_bounds
+
+
 def _d_point_bounds(space: SpaceDescriptor, X: np.ndarray, F: np.ndarray,
                     t: float, res_i: float, max_evals: int,
                     covering: Optional[float] = None):
@@ -302,19 +311,54 @@ def _d_point_bounds(space: SpaceDescriptor, X: np.ndarray, F: np.ndarray,
     (shell radius t/4 + h R, truncation 2 + t/4) into ker f along a norming
     vector of f moves it by at most h R with R = 2 + t/4 and keeps it
     feasible, so s(x, f, t) <= tight-min(f0) + h R.
+
+    Both ends are maxima over rows (x, f) of ``_kernel_mins`` minima, and
+    most rows cannot raise the maximum, so the full kernel grid is scanned
+    only where one can.  A first pass takes every row's minima on every
+    ``_PRUNE_STRIDE``-th grid point (same step, slack and ring): a minimum
+    over a subset, so at least the row's full minimum.  For each x the
+    full scan then runs on the incumbents, the norming row and the rows
+    with the largest first-pass lower and upper minima, and after them on
+    the rows whose first-pass lower or upper minimum exceeds the
+    incumbents' best full one.  Any other row has full minima at most its
+    first-pass ones, hence at most the incumbents' best, so the maxima over
+    the rows scanned in full are the maxima over all rows, bit for bit.
+    With one row per x (F empty) every row is an incumbent and the first
+    pass is skipped.
     """
     n, m = len(X), len(F) + 1
     norming = _support_array(space, X / _norm_array(space, X)[:, None])
     rows = np.concatenate([np.broadcast_to(F, (n,) + F.shape),
                            norming[:, None, :]], axis=1).reshape(n * m, X.shape[1])
+    xs = np.repeat(X, m, axis=0)
     R_t = 2.0 + t / 4.0
     r_tight = None if covering is None else t / 4.0 + covering * R_t
-    lo, up = _kernel_mins(space, np.repeat(X, m, axis=0), rows, t, res_i,
-                          max_evals, r_tight=r_tight)
-    lower = np.maximum(lo.reshape(n, m).max(axis=1), 0.0)
-    if up is None:
+
+    def scan(idx, stride: int = 1) -> np.ndarray:
+        """(lower, upper) minima of the rows idx, one row of the result
+        each; the upper row repeats the lower one when there is no upper."""
+        lo, up = _kernel_mins(space, xs[idx], rows[idx], t, res_i, max_evals,
+                              r_tight=r_tight, stride=stride)
+        return np.stack([lo, lo if up is None else up])
+
+    if m == 1:
+        ends = scan(slice(None))
+    else:
+        rough = scan(slice(None), _PRUNE_STRIDE).reshape(2, n, m)
+        base = np.arange(n)[:, None] * m
+        inc = np.unique(np.concatenate([base + m - 1,
+                                        base + rough.argmax(axis=2).T], axis=1))
+        ends = np.full((2, n * m), -np.inf)
+        ends[:, inc] = scan(inc)
+        best = ends.reshape(2, n, m).max(axis=2, keepdims=True)
+        rest = np.any(rough > best, axis=0).ravel()
+        rest[inc] = False
+        ends[:, rest] = scan(rest)
+    lower, upper = ends.reshape(2, n, m).max(axis=2)
+    lower = np.maximum(lower, 0.0)
+    if r_tight is None:
         return lower, None
-    return lower, up.reshape(n, m).max(axis=1) + covering * R_t
+    return lower, upper + covering * R_t
 
 
 def _d_lower_cheap(space: SpaceDescriptor, X: np.ndarray, t: float,

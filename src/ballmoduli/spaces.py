@@ -99,9 +99,9 @@ class SpaceDescriptor:
         if self.kind == "polyhedral":
             if not self.vertices:
                 raise DescriptorError("polyhedral space requires a vertex set")
-            V = np.asarray(self.vertices, dtype=float)
-            if V.ndim != 2 or V.shape[1] != self.dim:
+            if any(np.shape(v) != (self.dim,) for v in self.vertices):
                 raise DescriptorError("vertex coordinates must match the dimension")
+            V = np.asarray(self.vertices, dtype=float)
             # symmetry: v in V  =>  -v in V, to 1e-12 in each coordinate
             for v in V:
                 if not np.any(np.all(np.isclose(V, -v, rtol=0.0, atol=1e-12), axis=1)):
@@ -160,10 +160,24 @@ class SpaceDescriptor:
 
     @staticmethod
     def from_json(data: dict | str) -> "SpaceDescriptor":
+        """The descriptor ``to_json`` wrote; a missing field or a value of
+        the wrong type or shape raises ``DescriptorError``."""
         if isinstance(data, str):
             data = json.loads(data)
         if not isinstance(data, dict) or "kind" not in data:
             raise DescriptorError("descriptor JSON must be an object with a 'kind'")
+        try:
+            return SpaceDescriptor._from_fields(data)
+        except DescriptorError:
+            raise
+        except KeyError as exc:
+            raise DescriptorError(f"{data['kind']!r} descriptor lacks the field "
+                                  f"{exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DescriptorError(f"malformed {data['kind']!r} descriptor: {exc}") from exc
+
+    @staticmethod
+    def _from_fields(data: dict) -> "SpaceDescriptor":
         kind = data["kind"]
         if kind == "polyhedral":
             verts = tuple(tuple(float(c) for c in v) for v in data["vertices"])

@@ -43,7 +43,8 @@ class TestCompute:
         assert code == 2
 
     def test_malformed_space_exits_2(self, capsys):
-        for bad in ("nosuch", '{"kind":"lp"}', '{"p":'):
+        for bad in ("nosuch", '{"kind":"lp"}', '{"p":', '{"kind":"lp","dim":2,"p":null}',
+                    '{"kind":"polyhedral","vertices":[[1,0],[0]]}'):
             code, _ = run(capsys, "compute", "--space", bad,
                           "--modulus", "delta", "--t", "1")
             assert code == 2

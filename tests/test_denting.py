@@ -5,9 +5,11 @@ import pytest
 
 from ballmoduli import (Budget, BudgetError, DomainError, d_global, d_point, d_star,
                         d_star_global, d_star_zero, d_star_zero_global,
-                        modulus_convexity, polar_space, preset, s_point, s_star)
+                        modulus_convexity, polar_space, polyhedral_space, preset,
+                        s_point, s_star, weighted_lp_space)
 from ballmoduli import denting
-from ballmoduli.gridutil import lowdisc_sphere, sphere_grid
+from ballmoduli.gridutil import lowdisc_sphere, sharp_equiv_constants, sphere_grid
+from ballmoduli.spaces import _norm_array, _support_array
 
 S_PIN = math.sqrt(17.0) / 4.0 - 1.0  # inf over the kernel line in the plane
 DELTA_PIN = 1.0 - math.sqrt(3.0) / 2.0
@@ -136,6 +138,86 @@ class TestBatchedBounds:
                                          10 ** 9, covering=dual.covering)
         assert lo.shape == up.shape == (0,)
         assert denting._d_lower_cheap(space, X, 0.7, 0.3, 10 ** 9).shape == (0,)
+
+
+def _seeded_polygon(seed: int):
+    """A symmetric polygon with 10 vertices at seeded angles on the circle."""
+    angles = np.sort(np.random.default_rng(seed).uniform(0.0, math.pi, 5))
+    half = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    return polyhedral_space(np.vstack([half, -half]).tolist())
+
+
+def _unpruned_bounds(space, X, F, t, res, max_evals, covering=None):
+    """``_d_point_bounds`` without pruning: one ``_kernel_mins`` over every
+    row (x, f) and (x, norming functional of x), maxima per x."""
+    n, m = len(X), len(F) + 1
+    norming = _support_array(space, X / _norm_array(space, X)[:, None])
+    rows = np.concatenate([np.broadcast_to(F, (n,) + F.shape),
+                           norming[:, None, :]], axis=1).reshape(n * m, space.dim)
+    R_t = 2.0 + t / 4.0
+    r_tight = None if covering is None else t / 4.0 + covering * R_t
+    lo, up = denting._kernel_mins(space, np.repeat(X, m, axis=0), rows, t, res,
+                                  max_evals, r_tight=r_tight)
+    lower = np.maximum(lo.reshape(n, m).max(axis=1), 0.0)
+    if up is None:
+        return lower, None
+    return lower, up.reshape(n, m).max(axis=1) + covering * R_t
+
+
+PRUNE_SPACES = {
+    "lp:1.5-2d": (lambda: preset("lp:1.5-2d"), 2e-2),
+    "weighted-l3": (lambda: weighted_lp_space(3.0, [1.0, 2.0]), 2e-2),
+    "l1-2d": (lambda: preset("l1-2d"), 2e-2),
+    "polygon": (lambda: _seeded_polygon(7), 2e-2),
+    "l2-3": (lambda: preset("l2-3"), 0.3),
+}
+
+
+class TestPrunedBounds:
+    """The pruned ``_d_point_bounds`` equals the row maxima of an unpruned
+    ``_kernel_mins`` over all rows, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(PRUNE_SPACES))
+    # at t = 1.8 rows other than the incumbents raise the max
+    @pytest.mark.parametrize("t", [0.3, 1.8])
+    def test_equals_unpruned_scan(self, name, t):
+        make, res = PRUNE_SPACES[name]
+        space = make()
+        X = np.vstack([sphere_grid(space, 0.4).points[:4],
+                       lowdisc_sphere(space, 3, seed=2)])
+        dual = sphere_grid(polar_space(space), 2 * res)
+        cases = [(dual.points, dual.covering), (dual.points, None),
+                 (lowdisc_sphere(polar_space(space), 16, seed=1), None),
+                 (np.empty((0, space.dim)), None)]
+        for F, covering in cases:
+            for pts in (X, X[:0]):
+                got = denting._d_point_bounds(space, pts, F, t, res, 10 ** 9,
+                                              covering=covering)
+                want = _unpruned_bounds(space, pts, F, t, res, 10 ** 9, covering)
+                assert np.array_equal(got[0], want[0])
+                if covering is None:
+                    assert got[1] is None and want[1] is None
+                else:
+                    assert np.array_equal(got[1], want[1])
+
+    def test_budget_error_at_the_unpruned_threshold(self):
+        # a row's kernel grid has n_c points in the plane; max_evals below
+        # that refuses the scan, at it the scan runs one row per chunk
+        space, t, res = preset("lp:1.5-2d"), 0.7, 2e-2
+        eq = sharp_equiv_constants(space)
+        R = (2.0 + t / 4.0) / eq.c * 1.05
+        n_c = int(math.ceil(2.0 * R / (res / eq.C))) + 1
+        X = sphere_grid(space, 0.5).points[:3]
+        dual = sphere_grid(polar_space(space), 0.1)
+        full = denting._d_point_bounds(space, X, dual.points, t, res, 10 ** 9,
+                                       covering=dual.covering)
+        at = denting._d_point_bounds(space, X, dual.points, t, res, n_c,
+                                     covering=dual.covering)
+        assert np.array_equal(at[0], full[0]) and np.array_equal(at[1], full[1])
+        _unpruned_bounds(space, X, dual.points, t, res, n_c, dual.covering)
+        for bounds in (denting._d_point_bounds, _unpruned_bounds):
+            with pytest.raises(BudgetError):
+                bounds(space, X, dual.points, t, res, n_c - 1, dual.covering)
 
 
 class TestDGlobal:

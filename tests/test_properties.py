@@ -262,7 +262,8 @@ def _euclidean_hull_distance(V):
     distance to a segment between two of them."""
     def seg(p, q):
         d = q - p
-        lam = 0.0 if not d.any() else min(max(-float(p @ d) / float(d @ d), 0.0), 1.0)
+        dd = float(d @ d)  # 0 also where a tiny nonzero d underflows when squared
+        lam = 0.0 if dd == 0.0 else min(max(-float(p @ d) / dd, 0.0), 1.0)
         return float(np.linalg.norm(p + lam * d))
 
     def cross(p, q):
@@ -304,6 +305,7 @@ class TestHullDistance:
     h max_i ||v_i|| of the true distance (minimum-norm duality)."""
 
     @given(hull_points, st.floats(0.02, 0.3))
+    @example(np.array([(0.0, 0.0), (0.0, 5.854435796346927e-298)]), 0.25)
     @settings(max_examples=100, deadline=None)
     def test_euclidean_within_covering(self, V, res):
         space = preset("l2-2")

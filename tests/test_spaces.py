@@ -220,6 +220,15 @@ class TestDescriptors:
         with pytest.raises(DescriptorError):
             lp_space(2, 0.5)
 
+    @pytest.mark.parametrize("data", [
+        {"kind": "polyhedral"},
+        {"kind": "lp", "dim": 2},
+        {"kind": "polyhedral", "vertices": [[1, 0], [0]]},
+    ], ids=["no-vertices", "no-p", "ragged-vertices"])
+    def test_incomplete_json_raises_descriptor_error(self, data):
+        with pytest.raises(DescriptorError):
+            SpaceDescriptor.from_json(data)
+
     def test_point_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             Point.of(preset("l2-2"), [1.0, 0.0, 0.0])
