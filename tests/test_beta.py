@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from ballmoduli import (Budget, DomainError, beta_global, beta_point, beta_sup,
                         dual_norm, duality_preimage, is_euclidean, lp_space,
-                        make_lp_sum, preset, weighted_lp_space)
+                        make_lp_sum, polar_space, polyhedral_space, preset,
+                        weighted_lp_space)
 from ballmoduli import beta
+from ballmoduli.config import resolve
+from ballmoduli.gridutil import sphere_grid
+from ballmoduli.spaces import _norm_array
 
 
 class TestBetaPoint:
@@ -87,6 +93,15 @@ class TestBetaGlobal:
         with pytest.raises(DomainError):
             beta_global(preset("l2-2"), (0.5, 1.5))
 
+    @pytest.mark.parametrize("ts", [(0.3, 1.5), (0.5, 0.3), (0.3, 0.3)])
+    def test_whole_t_grid_checked_before_any_scan(self, ts, monkeypatch):
+        calls = []
+        monkeypatch.setattr(beta, "_beta_global_single",
+                            lambda *a: calls.append(a))
+        with pytest.raises(DomainError):
+            beta_global(preset("lp:1.5-2d"), ts)
+        assert calls == []
+
 
 class TestIsEuclidean:
     def test_classification(self):
@@ -96,3 +111,130 @@ class TestIsEuclidean:
         assert not is_euclidean(preset("l1-2d"))
         assert not is_euclidean(
             make_lp_sum([lp_space(2, 2.0), lp_space(2, 3.0)], 2.0))
+
+
+def _unpruned_surfaces(W, fa, t, res):
+    """``_candidate_surfaces``' rows computed for one f on its own, without
+    the masks shared with the batched first pass of beta_global."""
+    grid = sphere_grid(W, res)
+    h, S = grid.covering, grid.points
+    dist = _norm_array(W, S - fa)
+    cut = fa + t * S
+    cut_norm = _norm_array(W, cut)
+    feas = np.vstack([S[dist >= t], cut[cut_norm <= 1.0], [-fa]])
+    relax = np.vstack([S[dist >= t - h], cut[cut_norm <= 1.0 + t * h], [-fa]])
+    return feas, relax, max(h, t * h)
+
+
+def _unpruned_beta_sup(space, f, t, budget=None):
+    """beta_sup's (lower, upper) without pruning: every x block in full."""
+    budget = resolve(budget)
+    if is_euclidean(space):
+        space, f = lp_space(2, 2.0), (1.0, 0.0)
+    W = polar_space(space)
+    fa = np.asarray(f, dtype=float)
+    xgrid = sphere_grid(space, beta._resolution(budget, 2e-3, 0.08, space.dim))
+    X = np.vstack([xgrid.points, duality_preimage(space, fa).array[None, :]])
+    feas, relax, h_g = _unpruned_surfaces(
+        W, fa, t, beta._resolution(budget, 1.5e-3, 0.06, W.dim))
+    lower = upper = -math.inf
+    chunk = max(1, int(250_000 // max(len(feas), 1)))
+    for i in range(0, len(X), chunk):
+        blk = X[i:i + chunk]
+        up_pt = 1.0 - np.max(feas @ blk.T, axis=0)
+        lo_pt = 1.0 - np.max(relax @ blk.T, axis=0) - h_g
+        lower = max(lower, float(np.max(lo_pt)))
+        upper = max(upper, float(np.max(up_pt)))
+    return max(lower, 0.0), upper + xgrid.covering
+
+
+def _unpruned_beta_global(space, t, budget=None):
+    """beta_global's (lower, upper) at one t without pruning: both ends of
+    beta_sup on every functional of the dual grid."""
+    budget = resolve(budget)
+    if is_euclidean(space):
+        return _unpruned_beta_sup(space, None, t, budget)
+    W = polar_space(space)
+    exact_2d = space.kind == "polyhedral" and space.dim == 2
+    fgrid = sphere_grid(W, beta._resolution(budget, 0.05 if exact_2d else 0.02, 0.15, W.dim))
+    inner = budget.with_resolution(
+        beta._resolution(budget, 0.02 if exact_2d else 8e-3, 0.1, W.dim))
+    t_relax = max(t - fgrid.covering, 1e-9)
+    lower = upper = math.inf
+    for fa in fgrid.points:
+        lower = min(lower, _unpruned_beta_sup(space, fa, t_relax, inner)[0])
+        upper = min(upper, _unpruned_beta_sup(space, fa, t, inner)[1])
+    if exact_2d:
+        upper = min(upper, beta._exact_pins(space, t))
+    return max(lower, 0.0), upper
+
+
+def _rational_polygon(seed):
+    """A symmetric polygon with 10 vertices on the 1/16 grid (seeded)."""
+    rng = np.random.default_rng(seed)
+    angles = np.sort(rng.uniform(0.0, math.pi, 5))
+    radii = rng.integers(12, 17, 5)
+    half = np.stack([np.round(radii * np.cos(angles)),
+                     np.round(radii * np.sin(angles))], axis=-1) / 16.0
+    return polyhedral_space(np.vstack([half, -half]).tolist())
+
+
+EXACT_SPACES = {
+    "lp:1.5-2d": (lambda: preset("lp:1.5-2d"), 4e-2),
+    "lp:3-2d": (lambda: preset("lp:3-2d"), 4e-2),
+    "weighted-l3": (lambda: weighted_lp_space(3.0, [1.0, 2.0]), 4e-2),
+    "l1-2d": (lambda: preset("l1-2d"), 0.2),
+    "linf-2d": (lambda: preset("linf-2d"), 0.2),
+    "square-rot": (lambda: preset("square-rot"), 0.2),
+    "polygon": (lambda: _rational_polygon(3), 0.1),
+    "lp-sum": (lambda: make_lp_sum([lp_space(1, 2.0), lp_space(1, 2.0)], 1.5), 4e-2),
+    "lp:1.5-3d": (lambda: preset("lp:1.5-3d"), 0.6),
+}
+
+
+class TestPrunedScans:
+    """The pruned scans of beta_sup and beta_global equal the unpruned ones,
+    both ends, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(EXACT_SPACES))
+    @pytest.mark.parametrize("t", [0.3, 0.7])
+    def test_beta_sup_equals_unpruned(self, name, t):
+        make, res = EXACT_SPACES[name]
+        space, budget = make(), Budget(resolution=res / 4.0)
+        W = polar_space(space)
+        for v in ([1.0, 0.3, -0.2], [0.4, -1.0, 0.5]):
+            f = np.asarray(v[:space.dim])
+            f = f / float(_norm_array(W, f))
+            got = beta_sup(space, f, t, budget)
+            assert (got.lower, got.upper) == _unpruned_beta_sup(space, f, t, budget)
+
+    @pytest.mark.parametrize("name", sorted(EXACT_SPACES))
+    @pytest.mark.parametrize("t", [0.3, 0.7])
+    def test_beta_global_equals_unpruned(self, name, t):
+        make, res = EXACT_SPACES[name]
+        space, budget = make(), Budget(resolution=res)
+        got = beta_global(space, [t], budget).values[0]
+        assert (got.lower, got.upper) == _unpruned_beta_global(space, t, budget)
+
+    def test_euclidean_default_budget(self):
+        got = beta_sup(preset("l2-2"), (1.0, 0.0), 0.5)
+        assert (got.lower, got.upper) == _unpruned_beta_sup(preset("l2-2"), None, 0.5)
+
+    def test_plateau_where_most_x_survive(self):
+        # on the flat face of l1-2d most x share the bound of the best one
+        space, budget = preset("l1-2d"), Budget(resolution=5e-3)
+        got = beta_sup(space, (1.0, 0.0), 0.3, budget)
+        assert (got.lower, got.upper) == _unpruned_beta_sup(space, (1.0, 0.0), 0.3, budget)
+
+    def test_lower_end_stops_at_zero(self, monkeypatch):
+        # the first functional scanned has lower end 0, and the exact pins
+        # leave no functional that can lower the upper end 0
+        space, budget = preset("l1-2d"), Budget(resolution=0.2)
+        calls = []
+        real = beta.beta_sup
+        monkeypatch.setattr(beta, "beta_sup",
+                            lambda *a: calls.append(a[2]) or real(*a))
+        got = beta_global(space, [0.5], budget).values[0]
+        assert (got.lower, got.upper) == (0.0, 0.0)
+        assert (got.lower, got.upper) == _unpruned_beta_global(space, 0.5, budget)
+        assert len(calls) == 1 and calls[0] < 0.5

@@ -19,7 +19,7 @@ from ballmoduli import (BudgetError, DescriptorError, DimensionMismatchError, Do
                         slice_diameter, support_functional, weighted_lp_space,
                         witness_functional)
 from ballmoduli.gridutil import _icosphere, lowdisc_sphere, sphere_grid
-from ballmoduli.spaces import _support_array, exact_vertices, kernel_frame
+from ballmoduli.spaces import _norm_array, _support_array, exact_vertices, kernel_frame
 
 
 class TestNorms:
@@ -62,6 +62,18 @@ class TestNorms:
         space = hypercube(3)
         v = rng.normal(size=3)
         assert norm(space, v) == pytest.approx(np.abs(v).max(), rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["l1-2d", "square-rot", "l1-3d", "linf-3d"])
+    def test_polytope_norm_is_the_facet_max_bit_for_bit(self, name, rng):
+        # the facet axis is reduced as a leading axis; a max is exact, so
+        # the values are those of the plain reduction over the last axis
+        space = preset(name)
+        for shape in [(space.dim,), (37, space.dim), (3, 37, space.dim)]:
+            a = rng.normal(size=shape)
+            want = np.max(a @ space.facets.T, axis=-1)
+            got = _norm_array(space, a)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
 
 
 class TestPolarity:

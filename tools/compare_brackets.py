@@ -12,6 +12,10 @@ its method tag, every norm value and every functional coordinate:
 - primal and dual slice diameters, s and s* at norming and at generic
   pairs, beta and beta-sup at the default budget, and the oracle's
   brute-force d bracket, on the 2-D spaces;
+- beta-global at t = 0.3 and 0.7, at resolution 4e-2 on lp:1.5, lp:3 and
+  the weighted lp:3 plane and at 0.2 on l1-2d and square-rot, and beta-sup
+  at 5e-3 on the three polygon presets, with f at a vertex and at an edge
+  midpoint of the dual ball;
 - primal and dual slice diameters at resolutions 5e-3 and 1.5e-3 and
   thresholds 0.002, 0.3, 0.6 and 0.999 on the six 2-D presets, and the
   modulus of convexity at t = 0.3, 1, 1.7 and 2 and resolutions 2e-2 and
@@ -75,6 +79,7 @@ def _unit(bm, sp, v, dual=False):
 def calls(bm):
     yield from _d_family(bm)
     yield from _slice_s_beta(bm)
+    yield from _beta_scans(bm)
     yield from _pair_scans(bm)
     yield from _separating_balls(bm)
     yield from _sign_tests(bm)
@@ -125,6 +130,25 @@ def _slice_s_beta(bm):
             yield f"beta_sup {name} {t}", lambda: bm.beta_sup(sp, f, t)
         yield f"oracle_d {name} 0.5", lambda: oracle.grid_bracket(
             "d", sp, 0.05, x=x, t=0.5)
+
+
+def _beta_scans(bm):
+    for name, res in (("lp:1.5-2d", 4e-2), ("lp:3-2d", 4e-2), ("weighted:3:1,2", 4e-2),
+                      ("l1-2d", 0.2), ("square-rot", 0.2)):
+        sp = _space(bm, name)
+        for t in (0.3, 0.7):
+            yield f"beta_global {name} {t} {res}", lambda: bm.beta_global(
+                sp, [t], bm.Budget(resolution=res)).values[0]
+    fine = bm.Budget(resolution=5e-3)
+    for name in ("l1-2d", "linf-2d", "square-rot"):
+        sp = _space(bm, name)
+        # the dual ball's vertices are the facet rows; two neighbours in
+        # angle span an edge
+        V = sp.facets[np.argsort(np.arctan2(sp.facets[:, 1], sp.facets[:, 0]))]
+        for where, v in (("vertex", V[0]), ("edge", (V[0] + V[1]) / 2.0)):
+            f = _unit(bm, sp, v, dual=True)
+            for t in (0.3, 0.7):
+                yield f"beta_sup {name} {t} {where} 5e-3", lambda: bm.beta_sup(sp, f, t, fine)
 
 
 def _pair_scans(bm):
