@@ -19,7 +19,7 @@ from .bracket import GRID, Bracket, ModulusCurve
 from .config import Budget, resolve
 from .denting import _PRUNE_STRIDE, _resolution
 from .errors import DomainError
-from .gridutil import sphere_grid
+from .gridutil import _covering_runs, sphere_grid
 from .spaces import (SpaceDescriptor, duality_preimage, lp_space, polar_space,
                      _norm_array, _support_array, _unit_coords)
 
@@ -41,14 +41,16 @@ def _check_beta_domain(t: float) -> None:
 
 
 def _surface_masks(W: SpaceDescriptor, F: np.ndarray, S: np.ndarray, t: float,
-                   h: float):
+                   h: float, dist: Optional[np.ndarray] = None):
     """``_candidate_surfaces``' selection from the sphere grid S (covering h)
     of W and the cut points f + t*S, for one functional f (shape (dim,)) or
     for each row of F (shape (n, dim), each mask then gaining a leading
     axis): (cut points, (sphere, cut) feasible masks, (sphere, cut) relaxed
-    masks).  A row's values do not depend on the other rows."""
+    masks).  A row's values do not depend on the other rows.  ``dist``, the
+    norms ||S - f|| (independent of t), is computed unless given."""
     Fr = F[..., None, :]
-    dist = _norm_array(W, S - Fr)
+    if dist is None:
+        dist = _norm_array(W, S - Fr)
     cut = Fr + t * S
     cut_norm = _norm_array(W, cut)
     return (cut, (dist >= t, cut_norm <= 1.0),
@@ -127,7 +129,30 @@ def _sup_resolutions(space: SpaceDescriptor, W: SpaceDescriptor,
 def _beta_sup_grid(space: SpaceDescriptor, W: SpaceDescriptor, fa: np.ndarray,
                    t: float, budget: Budget) -> Bracket:
     """beta_sup's certified search: a primal-sphere covering plus the duality
-    preimage of f, against the candidate surfaces of W = polar(space).
+    preimage of f, against the candidate surfaces of W = polar(space), one
+    ``_sup_end`` scan per end on the masks of ``_surface_masks``."""
+    res_x, res_g = _sup_resolutions(space, W, budget)
+    ggrid = sphere_grid(W, res_g)
+    _, feasible, relaxed = _surface_masks(W, fa, ggrid.points, t, ggrid.covering)
+    p = duality_preimage(space, fa).array
+    n_feas = 1 + sum(int(np.count_nonzero(mask)) for mask in feasible)
+    lower = _sup_end(space, W, fa, p, t, budget, relaxed, n_feas, lower=True)
+    upper = _sup_end(space, W, fa, p, t, budget, feasible, n_feas, lower=False)
+    return Bracket(lower=lower, upper=upper, method=GRID,
+                   resolution=res_x, lipschitz=1.0, seed=budget.seed)
+
+
+_MARGIN = 1e-12  # pruning margin for products rounded in another shape
+
+
+def _sup_end(space: SpaceDescriptor, W: SpaceDescriptor, fa: np.ndarray,
+             p: np.ndarray, t: float, budget: Budget, masks, n_feas: int,
+             lower: bool) -> float:
+    """beta_sup(space, f, t, budget)'s lower (``lower``) or upper end, from
+    f's (sphere, cut) masks over the candidate grid of W (the relaxed masks
+    of ``_surface_masks`` for the lower end, the feasible ones for the
+    upper), its number ``n_feas`` of feasible candidate rows (the -f row
+    included) and its duality preimage p.
 
     Each end is a maximum over x of a per-x value, 1 - max g.x over the
     candidate rows g (the feasible ones for the upper end, the relaxed ones
@@ -140,34 +165,34 @@ def _beta_sup_grid(space: SpaceDescriptor, W: SpaceDescriptor, fa: np.ndarray,
     at least ``_MARGIN`` below the best full value so far; every later block
     is bounded below it as well and cannot raise the max.  The lower end is
     clamped at 0, so its best starts at 0: a block bounded below 0 cannot
-    move it.  A scanned block is the unpruned scan's block with its products
-    (``rows @ blk.T``), so the maxima are the unpruned ones bit for bit.  A
-    matrix product's rounding depends on its shape, so the first pass's
-    products may differ from those in the last bits; the margin exceeds
-    such differences for vectors of moderate coordinates by orders of
-    magnitude.
+    move it.  Both ends use the blocks of 2.5e5 // n_feas points of x, and
+    a scanned block's products are ``rows @ blk.T`` with the rows in the
+    order sphere, cut, -f, so the maxima are those of the unpruned scan
+    bit for bit.  A matrix product's rounding depends on its shape, so the
+    first pass's products may differ from those in the last bits; the
+    margin exceeds such differences for vectors of moderate coordinates by
+    orders of magnitude.
     """
     res_x, res_g = _sup_resolutions(space, W, budget)
     xgrid = sphere_grid(space, res_x)
-    X = np.vstack([xgrid.points, duality_preimage(space, fa).array[None, :]])
-    feas, relax, h_g = _candidate_surfaces(W, fa, t, res_g)
+    ggrid = sphere_grid(W, res_g)
+    S, h = ggrid.points, ggrid.covering
+    sph, cut = masks
+    rows = np.vstack([S[sph], fa + t * S[cut], [-fa]])
+    X = np.vstack([xgrid.points, p[None, :]])
     # blocks of <= 2.5e5 products (2 MB) keep the peak memory low
-    chunk = max(1, int(250_000 // max(len(feas), 1)))
+    chunk = max(1, 250_000 // n_feas)
     starts = np.arange(0, len(X), chunk)
-    upper = _max_over_blocks(feas, X, starts, chunk, 0.0, -math.inf)
-    lower = _max_over_blocks(relax, X, starts, chunk, h_g, 0.0)
-    return Bracket(lower=lower, upper=upper + xgrid.covering,
-                   method=GRID, resolution=res_x, lipschitz=1.0, seed=budget.seed)
-
-
-_MARGIN = 1e-12  # pruning margin for products rounded in another shape
+    if lower:
+        return _max_over_blocks(rows, X, starts, chunk, max(h, t * h), 0.0)
+    return _max_over_blocks(rows, X, starts, chunk, 0.0, -math.inf) + xgrid.covering
 
 
 def _max_over_blocks(rows: np.ndarray, X: np.ndarray, starts: np.ndarray,
                      chunk: int, slack: float, best: float) -> float:
     """max(best, max over the rows x of X of 1 - max(rows @ x) - slack),
     scanning in full only the blocks X[i:i + chunk] (i in starts) that can
-    raise it (``_beta_sup_grid`` has the proof)."""
+    raise it (``_sup_end`` has the proof)."""
     sub = rows[::_PRUNE_STRIDE]
     step = max(1, 250_000 // len(sub))
     top = np.concatenate([np.max(sub @ X[i:i + step].T, axis=0)
@@ -209,8 +234,9 @@ def beta_global(space: SpaceDescriptor, t_grid,
 
 def _beta_global_single(space: SpaceDescriptor, t: float, budget: Budget) -> Bracket:
     """beta(t)'s bracket: the least beta_sup lower end at t - h over the dual
-    grid (covering h) and the least upper end at t, each found by
-    ``_least_sup_end`` without a full beta_sup on most functionals.  On a
+    grid (covering h) and the least upper end at t.  One ``_sup_floors``
+    pass builds both ends' masks and floors, and ``_least_sup_end`` runs
+    the end's own scan on the few functionals that can move it.  On a
     2-D polygon the exact beta(g, t) at the dual vertices and edge midpoints
     cap the upper end from the start."""
     if is_euclidean(space):
@@ -223,10 +249,12 @@ def _beta_global_single(space: SpaceDescriptor, t: float, budget: Budget) -> Bra
     inner = budget.with_resolution(
         _resolution(budget, 0.02 if exact_2d else 8e-3, 0.1, W.dim))
     upper = _exact_pins(space, t) if exact_2d else math.inf
-    t_relax = max(t - h_f, 1e-9)
-    lower = _least_sup_end(space, W, fgrid.points, t_relax, inner, math.inf,
-                           lower=True)
-    upper = _least_sup_end(space, W, fgrid.points, t, inner, upper, lower=False)
+    ts = (max(t - h_f, 1e-9), t)
+    F = fgrid.points
+    P = _support_array(W, F)
+    ends = _sup_floors(space, W, F, P, ts, inner)
+    lower = _least_sup_end(space, W, F, P, ts[0], inner, math.inf, ends[0], lower=True)
+    upper = _least_sup_end(space, W, F, P, ts[1], inner, upper, ends[1], lower=False)
     return Bracket(lower=max(lower, 0.0), upper=upper, method=GRID,
                    resolution=res_f, lipschitz=1.0, seed=budget.seed)
 
@@ -248,77 +276,146 @@ def _exact_pins(space: SpaceDescriptor, t: float) -> float:
     return best
 
 
-_BLOCK = 60_000  # entries of the largest temporary of _sup_floors
+_BLOCK = 60_000  # entries of the largest temporaries of the floor pass
 
 
 def _least_sup_end(space: SpaceDescriptor, W: SpaceDescriptor, F: np.ndarray,
-                   t: float, budget: Budget, best: float, lower: bool) -> float:
+                   P: np.ndarray, t: float, budget: Budget, best: float,
+                   end, lower: bool) -> float:
     """min(best, min over the rows f of F of beta_sup(space, f, t, budget)'s
-    lower (``lower``) or upper end), with beta_sup run on few f.
+    lower (``lower``) or upper end), with the end's scan run on few f.
 
-    ``_sup_floors`` gives each f a floor: its end's value up to rounding,
-    taken over a subset of the x beta_sup maximises over, so at most
-    beta_sup's value plus a few ulps.  beta_sup runs on f in increasing
-    order of floor, and the scan stops at the first f whose floor is at
-    least ``_MARGIN`` above the least end so far: that f and every later
-    one have an end above it and cannot lower the min.  A lower end is
-    clamped at 0, so the lower scan also stops once the min is 0.  The
+    ``end`` is ``_sup_floors``' (floors, packed (sphere, cut) masks,
+    feasible row counts, grid size) for this end, and P holds the duality
+    preimages.  Each floor is at most f's end plus a few ulps.  The one-end
+    scan (``_sup_end``, on the masks and the preimage already built) runs
+    on f in increasing order of floor, and stops at the first f whose floor
+    is at least ``_MARGIN`` above the least end so far: that f and every
+    later one have an end above it and cannot lower the min.  A lower end
+    is clamped at 0, so the lower scan also stops once the min is 0.  The
     result is the min over every f bit for bit.
     """
-    floors = _sup_floors(space, W, F, t, budget, lower)
+    floors, bits, n_feas, m = end
     for k in np.argsort(floors, kind="stable"):
         if floors[k] - _MARGIN >= best or (lower and best <= 0.0):
             break
-        b = beta_sup(space, F[k], t, budget)
-        best = min(best, b.lower if lower else b.upper)
+        masks = np.unpackbits(bits[:, k], axis=-1, count=m).view(bool)
+        best = min(best, _sup_end(space, W, F[k], P[k], t, budget, masks,
+                                  int(n_feas[k]), lower))
     return best
 
 
 def _sup_floors(space: SpaceDescriptor, W: SpaceDescriptor, F: np.ndarray,
-                t: float, budget: Budget, lower: bool) -> np.ndarray:
-    """For each row f of F, beta_sup(space, f, t, budget)'s lower (``lower``)
-    or upper end evaluated on every ``_PRUNE_STRIDE``-th point of its x grid
-    and on f's duality preimage, against f's full candidate rows.
+                P: np.ndarray, ts: tuple[float, float], budget: Budget):
+    """beta_global's two ends, the lower one at ts[0] and the upper one at
+    ts[1]: for each, (floors, (sphere, cut) masks packed by
+    ``np.packbits``, feasible row counts, grid size), one floor, mask pair
+    and count per row f of F (P holds the rows' duality preimages).
 
-    The masks of the rows are ``_surface_masks``' for all f of a block at
-    once, the preimages one ``_support_array`` call; both are beta_sup's,
-    value for value.  The products differ from beta_sup's in rounding only:
-    g.x for a cut point g = f + t u is f.x + t (u.x), and the max of that
-    over u is f.x + t max u.x, since rounding is monotone.  Blocks of f keep
-    every temporary at about ``_BLOCK`` entries."""
+    The masks are ``_surface_masks``' over the candidate grid S (relaxed
+    ones for the lower end, feasible ones for the upper), computed in
+    blocks of f that share the t-independent norms ||S - f||; the counts
+    are beta_sup's number of feasible candidate rows at the end's t.  A
+    floor is f's end evaluated on every ``_PRUNE_STRIDE``-th point of its x
+    grid and on P[f], with the max of g.x taken over a superset of f's
+    candidate rows, so it is at most the end beta_sup computes, up to
+    rounding: a max over fewer x is smaller, and a max of g.x over more
+    rows is larger, so 1 - g.x smaller.
+
+    The superset: -f, and for the sphere rows and the cut rows f + t u the
+    rows of S picked by ``_masked_maxima``: exactly the mask in 3-D, its
+    shortest covering cyclic run in the plane.  A run holds the mask
+    whatever the mask is, so the floors stay below the ends even where
+    rounding splits a mask.  In exact arithmetic both masks are single
+    runs, so the run is the mask and the floor is as tight as the masked
+    one: {u : ||u - f|| >= t} is an arc around -f by the monotonicity lemma
+    (``sphere_grid``), and {u : ||f + t u|| <= 1} is the part of the circle
+    f + t S inside the ball, one arc, because the boundaries of two
+    positive homothets of a plane convex body meet in at most two
+    connected pieces (the relaxed masks widen t and the ball, the same
+    shapes).  Rounding: g.x for a cut row is taken as f.x + t (u.x), and
+    the products here have other shapes than beta_sup's, so a floor can
+    exceed beta_sup's value by rounding errors of products of vectors of
+    moderate coordinates, a few ulps; ``_least_sup_end`` skips an f only
+    when its floor is ``_MARGIN`` = 1e-12 above the min, far above such
+    errors.  Every temporary holds about ``_BLOCK`` entries or fewer."""
     res_x, res_g = _sup_resolutions(space, W, budget)
     xgrid = sphere_grid(space, res_x)
     ggrid = sphere_grid(W, res_g)
     S, h = ggrid.points, ggrid.covering
     Xs = xgrid.points[::_PRUNE_STRIDE]
-    P = _support_array(W, F)
-    n_x = max(1, _BLOCK // len(S))
-    n_f = max(1, n_x // (len(Xs) + 1))
-    floors = np.empty(len(F))
-    for i in range(0, len(F), n_f):
-        Fb = F[i:i + n_f]
-        _, feasible, relaxed = _surface_masks(W, Fb, S, t, h)
-        sph, cut = relaxed if lower else feasible
-        # x axis: the strided grid, then the preimage
-        XP = np.concatenate([np.broadcast_to(Xs, (len(Fb),) + Xs.shape),
-                             P[i:i + n_f, None, :]], axis=1)
-        g = np.concatenate([_top_products(XP[:, j:j + n_x], Fb, S, sph, cut, t)
-                            for j in range(0, XP.shape[1], n_x)], axis=1)
-        if lower:
-            floors[i:i + n_f] = np.maximum((1.0 - g - max(h, t * h)).max(axis=-1), 0.0)
-        else:
-            floors[i:i + n_f] = (1.0 - g).max(axis=-1) + xgrid.covering
-    return floors
+    n, m = len(F), len(S)
+    bits = np.empty((2, 2, n, -(-m // 8)), dtype=np.uint8)  # (end, sphere/cut, f, S)
+    n_feas = np.empty((2, n), dtype=np.int64)
+    floors = np.empty((2, n))
+    step = max(1, _BLOCK // (4 * m))
+    for i in range(0, n, step):
+        blk = slice(i, i + step)
+        Fb, Pb = F[blk], P[blk]
+        dist = _norm_array(W, S - Fb[:, None, :])
+        masks = np.empty((2, 2, len(Fb), m), dtype=bool)
+        for e, lower in enumerate((True, False)):
+            _, feas, relax = _surface_masks(W, Fb, S, ts[e], h, dist)
+            masks[e] = relax if lower else feas
+            n_feas[e, blk] = (1 + np.count_nonzero(feas[0], axis=1)
+                              + np.count_nonzero(feas[1], axis=1))
+        bits[:, :, blk] = np.packbits(masks, axis=-1)
+        # the max of u.x over each mask: x on the strided grid, then P[f]
+        top = np.concatenate([
+            _masked_maxima(Xs, S, masks.reshape(-1, m), W.dim == 2).reshape(2, 2, len(Fb), -1),
+            np.where(masks, Pb @ S.T, -np.inf).max(axis=-1)[..., None]], axis=-1)
+        fx = np.concatenate([Fb @ Xs.T, np.einsum("fd,fd->f", Fb, Pb)[:, None]], axis=1)
+        for e, lower in enumerate((True, False)):
+            g = np.maximum(np.maximum(top[e, 0], fx + ts[e] * top[e, 1]), -fx)
+            if lower:
+                floors[e, blk] = np.maximum((1.0 - g - max(h, ts[e] * h)).max(axis=-1), 0.0)
+            else:
+                floors[e, blk] = (1.0 - g).max(axis=-1) + xgrid.covering
+    return [(floors[e], bits[e], n_feas[e], m) for e in range(2)]
 
 
-def _top_products(XP: np.ndarray, F: np.ndarray, S: np.ndarray, sph: np.ndarray,
-                  cut: np.ndarray, t: float) -> np.ndarray:
-    """max of g.x over the candidate rows g of each f (row of F): the points
-    of S where ``sph``, the cut points f + t*S where ``cut`` (masks of shape
-    (f, S)), and -f; for each f and each x in the rows of XP[f] (laid out
-    (f, x, rows) and reduced over the rows)."""
-    us = XP @ S.T
-    fx = np.einsum("fxd,fd->fx", XP, F)
-    on_sphere = np.where(sph[:, None, :], us, -np.inf).max(axis=-1)
-    on_cut = fx + t * np.where(cut[:, None, :], us, -np.inf).max(axis=-1)
-    return np.maximum(np.maximum(on_sphere, on_cut), -fx)
+def _masked_maxima(X: np.ndarray, S: np.ndarray, masks: np.ndarray,
+                   planar: bool) -> np.ndarray:
+    """A (k, x) array bounding max{S[j].X[x] : masks[k, j]} from above
+    (-inf where a mask is empty), for the rows of X and S and (k, len(S))
+    masks; the products are taken in blocks of rows of X.
+
+    In 3-D it is that masked maximum, taken directly in blocks.  In the
+    plane (``planar``: the columns follow a 2-D sphere grid's angular
+    order) it is the maximum over the mask's shortest covering cyclic run
+    (``gridutil._covering_runs``), a superset of the mask and the mask
+    itself wherever the mask is one run, as the candidate masks are in
+    exact arithmetic (``_sup_floors``).  The run maxima come from a sparse
+    table of range maxima (Bender & Farach-Colton, "The LCA problem
+    revisited", LATIN 2000) over the doubled columns: level j holds the
+    maxima of 2^j consecutive columns, and a run of length L is covered by
+    the two level-floor(log2 L) windows at its ends.  That is
+    O(x n log n + k x) work instead of O(k x n); the table is built in
+    blocks of x of about ``_BLOCK`` entries."""
+    k, n = masks.shape
+    out = np.empty((k, len(X)))
+    if planar:
+        start, length = _covering_runs(masks)
+        lev = np.frexp(np.maximum(length, 1))[1] - 1
+        right = start + length - (1 << lev)
+        n_lev = n.bit_length()
+        step = max(1, _BLOCK // (n_lev * 2 * n))
+        for j in range(0, len(X), step):
+            tb = X[j:j + step] @ S.T
+            table = np.full((n_lev, len(tb), 2 * n), -np.inf)
+            table[0] = np.concatenate([tb, tb], axis=1)
+            for v in range(1, n_lev):
+                w = 1 << (v - 1)
+                np.maximum(table[v - 1, :, :-w], table[v - 1, :, w:],
+                           out=table[v, :, :-w])
+            out[:, j:j + step] = np.maximum(table[lev, :, start], table[lev, :, right])
+        out[length == 0] = -np.inf
+        return out
+    step = max(1, _BLOCK // n)
+    for j in range(0, len(X), step):
+        tb = X[j:j + step] @ S.T
+        rows = max(1, _BLOCK // (len(tb) * n))
+        for i in range(0, k, rows):
+            out[i:i + rows, j:j + step] = np.where(
+                masks[i:i + rows, None, :], tb, -np.inf).max(axis=-1)
+    return out

@@ -346,8 +346,11 @@ def _d_point_bounds(space: SpaceDescriptor, X: np.ndarray, F: np.ndarray,
     else:
         rough = scan(slice(None), _PRUNE_STRIDE).reshape(2, n, m)
         base = np.arange(n)[:, None] * m
-        inc = np.unique(np.concatenate([base + m - 1,
-                                        base + rough.argmax(axis=2).T], axis=1))
+        # the norming rows and the first-pass leaders, as a sorted index set
+        lead = np.zeros(n * m, dtype=bool)
+        lead[base + m - 1] = True
+        lead[base + rough.argmax(axis=2).T] = True
+        inc = np.flatnonzero(lead)
         ends = np.full((2, n * m), -np.inf)
         ends[:, inc] = scan(inc)
         best = ends.reshape(2, n, m).max(axis=2, keepdims=True)
@@ -440,6 +443,16 @@ def d_star_zero(space: SpaceDescriptor, f, t: float,
     near = inner[_norm_array(W, inner - fa) <= t * (1.0 - 1e-6)][:8]
     lower = float(np.max(_d_lower_cheap(W, near, t, res_i, budget.max_evals,
                                         seed=budget.seed), initial=lower))
+    upper, res_g = _d_star_zero_upper(W, fa, t, budget)
+    return Bracket(lower=lower, upper=upper, method=GRID,
+                   resolution=res_g, lipschitz=1.0, seed=budget.seed)
+
+
+def _d_star_zero_upper(W: SpaceDescriptor, fa: np.ndarray, t: float,
+                       budget: Budget) -> tuple[float, float]:
+    """(upper end of d*0(f, t), cover resolution) for a unit f of W =
+    polar(space): the max of the d* upper scan over the cover points within
+    t + h of f, plus h (``d_star_zero`` has the certificate)."""
     res_g = _resolution(budget, 0.05, 0.2, W.dim)
     cover = sphere_grid(W, res_g)
     h_g = cover.covering
@@ -447,8 +460,7 @@ def d_star_zero(space: SpaceDescriptor, f, t: float,
     dual = sphere_grid(polar_space(W), 0.02 if W.dim == 2 else 0.3)
     _, up = _d_point_bounds(W, sel, dual.points, t, 5e-3 if W.dim == 2 else 0.08,
                             budget.max_evals, covering=dual.covering)
-    return Bracket(lower=lower, upper=float(np.max(up)) + h_g, method=GRID,
-                   resolution=res_g, lipschitz=1.0, seed=budget.seed)
+    return float(np.max(up)) + h_g, res_g
 
 
 def d_star_zero_global(space: SpaceDescriptor, t: float,
@@ -479,6 +491,6 @@ def d_star_zero_global(space: SpaceDescriptor, t: float,
             break
     # upper bound: d*0(t) <= d*0(f, t) at any sampled f
     probes = lowdisc_sphere(W, 4, seed=budget.seed + 1)
-    upper = min(d_star_zero(space, fa, t, budget).upper for fa in probes)
+    upper = min(_d_star_zero_upper(W, fa, t, budget)[0] for fa in probes)
     return Bracket(lower=lower, upper=upper, method=GRID,
                    resolution=res_f, lipschitz=1.0, seed=budget.seed)

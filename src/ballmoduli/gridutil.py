@@ -106,6 +106,12 @@ def sphere_grid(space: SpaceDescriptor, resolution: float) -> SphereGrid:
       Part I", Expo. Math. 19 (2001), Prop. 31), k -> ||p_i - p_{i+k}|| does
       not decrease for k in [0, floor(n/2)] and does not increase for k in
       [ceil(n/2), n].
+
+    So the grid points on one arc of the circle (those in a half-plane, or
+    those at distance >= t from a unit point) are one cyclic run of
+    indices in exact arithmetic.  ``_covering_runs`` gives the shortest run
+    holding any subset, so a scan over it never misses a point that
+    rounding split off the arc.
     """
     if resolution <= 0:
         raise DomainError("resolution must be positive")
@@ -133,6 +139,29 @@ def sphere_grid(space: SpaceDescriptor, resolution: float) -> SphereGrid:
         r = _max_circumradius(verts, faces)
         return SphereGrid(points=pts, covering=L * r)
     raise DomainError("certified sphere grids are limited to dimension <= 3")
+
+
+def _covering_runs(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(start, length) of the shortest cyclic run of indices holding every
+    True entry, for each row of an (r, n) boolean array: the run starts at
+    the first True after the longest cyclic gap between consecutive True
+    entries (the first such gap in index order on ties) and ends at the
+    True before it.  An empty row gives (0, 0) and a full row (0, n)."""
+    r, n = masks.shape
+    # in each row doubled, the next run start after a run end of the first
+    # copy lies within the row
+    twice = np.concatenate([masks, masks], axis=1)
+    row, col = np.divmod(np.flatnonzero(masks & ~twice[:, 1:n + 1]), n)  # run ends
+    starts = np.flatnonzero(twice[:, 1:] & ~twice[:, :-1])  # one before each start
+    at = row * (2 * n - 1) + col
+    gaps = np.zeros((r, n), dtype=np.int64)
+    gaps[row, col] = starts[np.searchsorted(starts, at)] - at + 1
+    # per row the longest gap, the first in index order on ties; a row
+    # without run ends is empty or full
+    col = gaps.argmax(axis=1)
+    gap = gaps[np.arange(r), col]
+    length = np.where(gap > 0, n + 1 - gap, n * masks[:, 0])
+    return (col + gap) % n, length
 
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:

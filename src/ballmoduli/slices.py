@@ -32,7 +32,7 @@ from .bracket import GRID, MULTISTART, Bracket
 from .config import Budget, resolve
 from .denting import modulus_convexity, _resolution
 from .errors import BallConstructionError, DomainError
-from .gridutil import lowdisc_sphere, sphere_grid
+from .gridutil import _covering_runs, lowdisc_sphere, sphere_grid
 from .spaces import (Point, SpaceDescriptor, duality_preimage, polar_space,
                      _coords, _dual_norm_array, _norm_array, _unit_coords)
 
@@ -107,7 +107,7 @@ def _max_pair(space: SpaceDescriptor, grid_points: np.ndarray,
     if m < 2:
         return 0.0
     if space.dim == 2:
-        return _max_pair_arc(space, grid_points, mask, m)
+        return _max_pair_arc(space, grid_points, mask)
     pts = grid_points[mask]
     best = 0.0
     for i in range(0, m, _PAIR_CHUNK):
@@ -117,20 +117,13 @@ def _max_pair(space: SpaceDescriptor, grid_points: np.ndarray,
 
 
 def _max_pair_arc(space: SpaceDescriptor, grid_points: np.ndarray,
-                  mask: np.ndarray, m: int) -> float:
+                  mask: np.ndarray) -> float:
     n = len(grid_points)
-    start = 0
-    if m < n:
-        # the shortest cyclic run holding every masked point starts after the
-        # largest gap; in exact arithmetic it is the masked run itself, and
-        # where rounding splits it (a flat face at the threshold) the points
-        # between its pieces lie on the segment joining masked points, so by
-        # convexity of the norm they change no pair maximum
-        idx = np.flatnonzero(mask)
-        gaps = np.diff(idx, append=idx[0] + n)
-        j = int(np.argmax(gaps))
-        start = int(idx[(j + 1) % len(idx)])
-        m = n - int(gaps[j]) + 1
+    # in exact arithmetic the covering run is the masked run itself; where
+    # rounding splits it (a flat face at the threshold) the points between
+    # its pieces lie on the segment joining masked points, so by convexity
+    # of the norm they change no pair maximum
+    start, m = (int(v[0]) for v in _covering_runs(mask[None, :]))
     run = grid_points[(start + np.arange(m)) % n]
     # a position's candidate partners: both ends of the run and the
     # antipodal positions floor(n/2) and ceil(n/2) ahead of it; a position

@@ -9,8 +9,8 @@ from ballmoduli import (Budget, DomainError, beta_global, beta_point, beta_sup,
                         weighted_lp_space)
 from ballmoduli import beta
 from ballmoduli.config import resolve
-from ballmoduli.gridutil import sphere_grid
-from ballmoduli.spaces import _norm_array
+from ballmoduli.gridutil import _covering_runs, sphere_grid
+from ballmoduli.spaces import _norm_array, _support_array
 
 
 class TestBetaPoint:
@@ -228,13 +228,66 @@ class TestPrunedScans:
 
     def test_lower_end_stops_at_zero(self, monkeypatch):
         # the first functional scanned has lower end 0, and the exact pins
-        # leave no functional that can lower the upper end 0
+        # leave no functional that can lower the upper end 0: one one-end
+        # scan in all, for the lower end at t - h
         space, budget = preset("l1-2d"), Budget(resolution=0.2)
         calls = []
-        real = beta.beta_sup
-        monkeypatch.setattr(beta, "beta_sup",
-                            lambda *a: calls.append(a[2]) or real(*a))
+        real = beta._sup_end
+        monkeypatch.setattr(beta, "_sup_end",
+                            lambda *a, **k: calls.append(a[4]) or real(*a, **k))
         got = beta_global(space, [0.5], budget).values[0]
         assert (got.lower, got.upper) == (0.0, 0.0)
         assert (got.lower, got.upper) == _unpruned_beta_global(space, 0.5, budget)
         assert len(calls) == 1 and calls[0] < 0.5
+
+
+def _dense_floors(space, W, F, t, budget, lower):
+    """beta_global's first-pass floors with every masked max taken directly,
+    on an (f, x, rows) tensor over the strided x grid plus each preimage."""
+    res_x, res_g = beta._sup_resolutions(space, W, budget)
+    xgrid, ggrid = sphere_grid(space, res_x), sphere_grid(W, res_g)
+    S, h = ggrid.points, ggrid.covering
+    Xs = xgrid.points[::beta._PRUNE_STRIDE]
+    _, feasible, relaxed = beta._surface_masks(W, F, S, t, h)
+    sph, cut = relaxed if lower else feasible
+    XP = np.concatenate([np.broadcast_to(Xs, (len(F),) + Xs.shape),
+                         _support_array(W, F)[:, None, :]], axis=1)
+    us = XP @ S.T
+    fx = np.einsum("fxd,fd->fx", XP, F)
+    on_sphere = np.where(sph[:, None, :], us, -np.inf).max(axis=-1)
+    on_cut = fx + t * np.where(cut[:, None, :], us, -np.inf).max(axis=-1)
+    g = np.maximum(np.maximum(on_sphere, on_cut), -fx)
+    if lower:
+        return np.maximum((1.0 - g - max(h, t * h)).max(axis=-1), 0.0)
+    return (1.0 - g).max(axis=-1) + xgrid.covering
+
+
+class TestRunFloors:
+    """In the plane beta_global's floors take each candidate mask's max over
+    its covering cyclic run: still below every functional's beta_sup end,
+    and the dense floor wherever the masks are single runs."""
+
+    @pytest.mark.parametrize("name", ["lp:1.5-2d", "l1-2d", "square-rot", "polygon"])
+    @pytest.mark.parametrize("t", [0.3, 0.7])
+    def test_run_floors_against_dense_and_ends(self, name, t):
+        make, res = EXACT_SPACES[name]
+        space, budget = make(), Budget(resolution=res)
+        W = polar_space(space)
+        exact_2d = space.kind == "polyhedral"
+        fgrid = sphere_grid(W, beta._resolution(budget, 0.05 if exact_2d else 0.02, 0.15, 2))
+        inner = budget.with_resolution(
+            beta._resolution(budget, 0.02 if exact_2d else 8e-3, 0.1, 2))
+        F = fgrid.points
+        ts = (max(t - fgrid.covering, 1e-9), t)
+        ends = beta._sup_floors(space, W, F, _support_array(W, F), ts, inner)
+        for (floors, bits, _, m), tt, lower in zip(ends, ts, (True, False)):
+            dense = _dense_floors(space, W, F, tt, inner, lower)
+            single = np.ones(len(F), dtype=bool)
+            for mask in np.unpackbits(bits, axis=-1, count=m).view(bool):
+                single &= _covering_runs(mask)[1] == np.count_nonzero(mask, axis=1)
+            assert single.any()
+            assert np.all(np.abs(floors - dense)[single] <= 1e-12)
+            assert np.all(floors <= dense + 1e-12)
+            for f, floor in zip(F, floors):
+                b = beta_sup(space, f, tt, inner)
+                assert floor <= (b.lower if lower else b.upper) + 1e-12

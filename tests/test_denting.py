@@ -287,6 +287,13 @@ class TestDStarZero:
         assert b.lower == 0.0
         assert b.upper <= 0.1
 
+    def test_global_upper_is_the_least_probe_upper(self):
+        # the global sweep's probes run d_star_zero's cover scan alone
+        space, t, budget = preset("lp:1.5-2d"), 0.2, Budget(resolution=0.3)
+        probes = lowdisc_sphere(polar_space(space), 4, seed=budget.seed + 1)
+        want = min(d_star_zero(space, f, t, budget).upper for f in probes)
+        assert d_star_zero_global(space, t, budget).upper == want
+
     def test_global_euclidean_positive(self):
         b = d_star_zero_global(preset("l2-2"), 0.5,
                                Budget(resolution=5e-3))

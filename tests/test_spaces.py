@@ -18,7 +18,8 @@ from ballmoduli import (BudgetError, DescriptorError, DimensionMismatchError, Do
                         polar_space, polyhedral_space, preset, s_point, s_star,
                         slice_diameter, support_functional, weighted_lp_space,
                         witness_functional)
-from ballmoduli.gridutil import _icosphere, lowdisc_sphere, sphere_grid
+from ballmoduli.gridutil import (_covering_runs, _icosphere, lowdisc_sphere,
+                                sharp_equiv_constants, sphere_grid)
 from ballmoduli.spaces import _norm_array, _support_array, exact_vertices, kernel_frame
 
 
@@ -124,6 +125,67 @@ class TestDerivedData:
     def test_dual_sphere_is_the_polar_sphere(self, space):
         pts = sphere_grid(polar_space(space), 0.1).points
         assert np.allclose(dual_norm(space, pts), 1.0, rtol=0.0, atol=1e-12)
+
+
+def _covering_run_loop(mask):
+    """(start, length) of one row's covering run: the True after the first
+    longest cyclic gap, one row at a time."""
+    n, idx = len(mask), np.flatnonzero(mask)
+    if len(idx) in (0, n):
+        return 0, len(idx)
+    gaps = np.diff(idx, append=idx[0] + n)
+    j = int(np.argmax(gaps))
+    return int(idx[(j + 1) % len(idx)]), n - int(gaps[j]) + 1
+
+
+class TestCoveringRuns:
+    def _check(self, masks):
+        start, length = _covering_runs(masks)
+        n = masks.shape[1]
+        for row, s, m in zip(masks, start, length):
+            assert (s, m) == _covering_run_loop(row)
+            covered = np.zeros(n, dtype=bool)
+            covered[(s + np.arange(m)) % n] = True
+            assert not np.any(row & ~covered)
+            # no shorter cyclic window holds every True entry
+            idx = np.flatnonzero(row)
+            if m:
+                assert not any(np.isin(idx, (a + np.arange(m - 1)) % n).all()
+                               for a in range(n))
+
+    def test_named_masks(self):
+        n = 12
+        rows = {"empty": [], "full": range(n), "single": [5], "run": range(3, 8),
+                "wrap-around": [10, 11, 0, 1, 2], "split": [2, 3, 5, 6],
+                "tied gaps": [0, 6], "last only": [n - 1]}
+        masks = np.zeros((len(rows), n), dtype=bool)
+        for k, idx in enumerate(rows.values()):
+            masks[k, list(idx)] = True
+        start, length = _covering_runs(masks)
+        got = dict(zip(rows, zip(start.tolist(), length.tolist())))
+        assert got == {"empty": (0, 0), "full": (0, n), "single": (5, 1),
+                       "run": (3, 5), "wrap-around": (10, 5), "split": (2, 5),
+                       "tied gaps": (6, 7), "last only": (n - 1, 1)}
+        self._check(masks)
+
+    def test_rounding_split_mask(self):
+        # rounding puts the dual square's left-face points at -1 and
+        # -0.9999999999999999 alternately, so the slice mask at that
+        # threshold leaves every other left-face point out
+        W = polar_space(polyhedral_space([(-0.625, 0), (0, -0.625), (0.625, 0), (0, 0.625)]))
+        L = sharp_equiv_constants(W).projection_lipschitz
+        P = sphere_grid(W, math.pi * L / 39.5).points
+        vals = P @ (np.array([1.0, 0.0]) / dual_norm(W, [1.0, 0.0]))
+        mask = vals >= -0.9999999999999999
+        assert np.count_nonzero(np.diff(mask.astype(int))) > 2
+        self._check(mask[None, :])
+        self._check(~mask[None, :])
+
+    def test_random_masks_match_the_row_loop(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 9):
+            masks = rng.random((200, n)) < rng.random((200, 1))
+            self._check(masks)
 
 
 class TestDualityMaps:
@@ -350,3 +412,19 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_d_point_leaves_numpy_ma_unimported():
+    # numpy imports numpy.ma lazily, on first use (np.unique uses it); the
+    # d scans have no use for it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        "import ballmoduli as bm\n"
+        "bm.d_point(bm.preset('lp:1.5-2d'), [1.0, 0.0], 0.5, bm.Budget(resolution=4e-2))\n"
+        "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
