@@ -89,7 +89,7 @@ def beta_point(space: SpaceDescriptor, f, x, t: float,
     upper = 1.0 - float(np.max(feas @ xa))
     lower = 1.0 - float(np.max(relax @ xa)) - h
     return Bracket(lower=max(lower, 0.0), upper=max(upper, 0.0),
-                   method=GRID, resolution=res, lipschitz=1.0, seed=budget.seed)
+                   method=GRID, resolution=res, lipschitz=1.0)
 
 
 def _beta_point_euclidean(fa: np.ndarray, xa: np.ndarray, t: float,
@@ -114,7 +114,7 @@ def beta_sup(space: SpaceDescriptor, f, t: float,
     _check_beta_domain(t)
     budget = resolve(budget)
     fa = _unit_coords(space, f, "dual", "f")
-    if is_euclidean(space):
+    if is_euclidean(space) and space.dim >= 2:
         return _beta_sup_euclidean(t, budget)
     return _beta_sup_grid(space, polar_space(space), fa, t, budget)
 
@@ -139,7 +139,7 @@ def _beta_sup_grid(space: SpaceDescriptor, W: SpaceDescriptor, fa: np.ndarray,
     lower = _sup_end(space, W, fa, p, t, budget, relaxed, n_feas, lower=True)
     upper = _sup_end(space, W, fa, p, t, budget, feasible, n_feas, lower=False)
     return Bracket(lower=lower, upper=upper, method=GRID,
-                   resolution=res_x, lipschitz=1.0, seed=budget.seed)
+                   resolution=res_x, lipschitz=1.0)
 
 
 _MARGIN = 1e-12  # pruning margin for products rounded in another shape
@@ -207,8 +207,9 @@ def _max_over_blocks(rows: np.ndarray, X: np.ndarray, starts: np.ndarray,
 
 
 def _beta_sup_euclidean(t: float, budget: Budget) -> Bracket:
-    """In a Euclidean space every unit f is equivalent under isometry and the
-    optimal x lies in a plane through f; compute on the 2-D model."""
+    """In a Euclidean space of dimension >= 2 every unit f is equivalent
+    under isometry and the optimal x lies in a plane through f; compute on
+    the 2-D model.  A line has no such plane, and its callers check it."""
     plane = lp_space(2, 2.0)
     return _beta_sup_grid(plane, plane, np.array([1.0, 0.0]), t, budget)
 
@@ -239,7 +240,7 @@ def _beta_global_single(space: SpaceDescriptor, t: float, budget: Budget) -> Bra
     the end's own scan on the few functionals that can move it.  On a
     2-D polygon the exact beta(g, t) at the dual vertices and edge midpoints
     cap the upper end from the start."""
-    if is_euclidean(space):
+    if is_euclidean(space) and space.dim >= 2:
         return _beta_sup_euclidean(t, budget)
     W = polar_space(space)
     exact_2d = space.kind == "polyhedral" and space.dim == 2
@@ -256,13 +257,13 @@ def _beta_global_single(space: SpaceDescriptor, t: float, budget: Budget) -> Bra
     lower = _least_sup_end(space, W, F, P, ts[0], inner, math.inf, ends[0], lower=True)
     upper = _least_sup_end(space, W, F, P, ts[1], inner, upper, ends[1], lower=False)
     return Bracket(lower=max(lower, 0.0), upper=upper, method=GRID,
-                   resolution=res_f, lipschitz=1.0, seed=budget.seed)
+                   resolution=res_f, lipschitz=1.0)
 
 
 def _exact_pins(space: SpaceDescriptor, t: float) -> float:
     """The least exact beta(g, t) over the dual-sphere vertices and edge
     midpoints of a 2-D polygon: each is a genuine unit functional, so
-    beta(t) <= the value."""
+    beta(t) <= the value.  beta(g, t) >= 0, so a zero ends the search."""
     from .oracle import exact_beta_sup, to_polygon
     dual = to_polygon(space).polar()
     n = len(dual.vertices)
@@ -273,6 +274,8 @@ def _exact_pins(space: SpaceDescriptor, t: float) -> float:
             scale = dual.gauge(cand)
             g = (cand[0] / scale, cand[1] / scale)
             best = min(best, float(exact_beta_sup(space, g, t)))
+            if best == 0.0:
+                return best
     return best
 
 

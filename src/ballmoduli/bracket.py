@@ -23,7 +23,6 @@ class Bracket:
     method: str = GRID
     resolution: float = 0.0
     lipschitz: Optional[float] = None
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if not self.lower <= self.upper + 1e-15:
@@ -50,8 +49,6 @@ class Bracket:
              "method": self.method, "resolution": self.resolution}
         if self.lipschitz is not None:
             d["lipschitz"] = self.lipschitz
-        if self.seed is not None:
-            d["seed"] = self.seed
         return d
 
     @staticmethod
@@ -90,4 +87,4 @@ class ModulusCurve:
         return True
 
 
-CURVE_CSV_COLUMNS = ["kind", "t", "lower", "upper", "method", "resolution", "seed"]
+CURVE_CSV_COLUMNS = ["kind", "t", "lower", "upper", "method", "resolution"]

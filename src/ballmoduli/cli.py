@@ -65,8 +65,7 @@ def _budget(args) -> Budget:
     if args.budget is not None and args.budget <= 0:
         raise DomainError(f"--budget must be positive, got {args.budget}")
     return Budget(resolution=args.resolution,
-                  max_evals=args.budget or DEFAULT_BUDGET.max_evals,
-                  seed=args.seed)
+                  max_evals=args.budget or DEFAULT_BUDGET.max_evals)
 
 
 def _curve_rows(space: SpaceDescriptor, modulus: str, ts: Sequence[float],
@@ -160,7 +159,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="maximum objective evaluations (a positive integer)")
     p.add_argument("--resolution", type=float, default=None,
                    help="target grid covering radius (operation default if unset)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -194,6 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"one of: {', '.join(list_suites())}")
     p.add_argument("--spaces", default=None,
                    help="comma-separated preset names (suite default if unset)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the suite's random draws")
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
 

@@ -13,14 +13,10 @@ class Budget:
         None lets each operation pick its documented default.
     max_evals: hard cap on objective evaluations; exceeding it raises
         BudgetError instead of silently degrading the certificate.
-    seed: seed for the sampled (non-certified) search components.  In
-        dimensions 2 and 3 ``lowdisc_sphere`` ignores it, so no 2-D or 3-D
-        bracket depends on it; it is recorded in the brackets all the same.
     """
 
     resolution: float | None = None
     max_evals: int = 50_000_000
-    seed: int = 0
 
     def with_resolution(self, resolution: float) -> "Budget":
         return replace(self, resolution=resolution)

@@ -1,7 +1,7 @@
 """Denting moduli s, d and their dual (w*) counterparts, plus the modulus
 of convexity.
 
-All searches are certified grid searches in dimension <= 3: grids carry a
+All searches are certified grid searches in dimensions 2 and 3: grids carry a
 computed covering radius, objectives and constraints are norm/linear-form
 compositions whose Lipschitz constants are recorded, and every returned
 Bracket is rigorous under those constants.
@@ -69,7 +69,7 @@ def modulus_convexity(space: SpaceDescriptor, t: float,
     # delta <= 1 even where no grid pair passes (an odd 2-D grid at t = 2);
     # delta >= 0 a priori, and a negative value is rounding in ||x+y|| <= 2
     return Bracket(lower=max(0.0, best_relax - h), upper=min(max(best_feas, 0.0), 1.0),
-                   method=GRID, resolution=res, lipschitz=1.0, seed=budget.seed)
+                   method=GRID, resolution=res, lipschitz=1.0)
 
 
 # The arc ends are bisected on ||x - y|| >= tau - _ARC_TOL: far above the
@@ -214,13 +214,11 @@ def _kernel_mins(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray,
         bases = (V / np.linalg.norm(V, axis=-1, keepdims=True))[:, None, :]
         grid = c[:, None]
         ring = np.array([[1.0], [-1.0]])
-    elif space.dim == 3:
+    else:
         bases = np.array([kernel_frame(space, f) for f in F]).reshape(-1, 2, 3)
         grid = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
         th = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
         ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    else:
-        raise DomainError("certified kernel scans are limited to dimension <= 3")
     slack = eq.C * (c[1] - c[0]) * math.sqrt(grid.shape[1]) / 2.0
     n_grid, grid = len(grid), grid[::stride]
 
@@ -270,8 +268,7 @@ def s_point(space: SpaceDescriptor, x, f, t: float,
     lo, up = _kernel_mins(space, xa[None, :], fa[None, :], t, res,
                           budget.max_evals, r_tight=t / 4.0)
     return Bracket(lower=float(lo[0]), upper=float(up[0]), method=GRID,
-                   resolution=res, lipschitz=sharp_equiv_constants(space).C,
-                   seed=budget.seed)
+                   resolution=res, lipschitz=sharp_equiv_constants(space).C)
 
 
 # -- sup over the dual sphere: d(x, t) --------------------------------------
@@ -291,7 +288,7 @@ def d_point(space: SpaceDescriptor, x, t: float,
     lower, upper = _d_point_bounds(space, xa[None, :], grid.points, t, res_i,
                                    budget.max_evals, covering=grid.covering)
     return Bracket(lower=float(lower[0]), upper=float(upper[0]), method=GRID,
-                   resolution=res_f, lipschitz=2.0 + t / 4.0, seed=budget.seed)
+                   resolution=res_f, lipschitz=2.0 + t / 4.0)
 
 
 _PRUNE_STRIDE = 8  # grid stride of the pruning pass of _d_point_bounds
@@ -365,11 +362,10 @@ def _d_point_bounds(space: SpaceDescriptor, X: np.ndarray, F: np.ndarray,
 
 
 def _d_lower_cheap(space: SpaceDescriptor, X: np.ndarray, t: float,
-                   res_i: float, max_evals: int, n_extra: int = 32,
-                   seed: int = 0) -> np.ndarray:
+                   res_i: float, max_evals: int, n_extra: int = 32) -> np.ndarray:
     """Rigorous lower bounds on d(x, t), one per row x of X, from the norming
     functional plus a small sample of dual directions."""
-    extra = lowdisc_sphere(polar_space(space), n_extra, seed=seed)
+    extra = lowdisc_sphere(polar_space(space), n_extra)
     return _d_point_bounds(space, X, extra, t, res_i, max_evals)[0]
 
 
@@ -388,12 +384,12 @@ def d_global(space: SpaceDescriptor, t: float,
     res_i = _resolution(budget, 1.5e-3, 0.05, space.dim)
     grid = sphere_grid(space, res_x)
     lows = _d_lower_cheap(space, grid.points, t, res_i, budget.max_evals,
-                          n_extra=0, seed=budget.seed)
+                          n_extra=0)
     i_best = int(np.argmin(lows))
     lower = max(0.0, float(lows[i_best]) - grid.covering)
     upper = d_point(space, grid.points[i_best], t, budget).upper
     return Bracket(lower=lower, upper=upper, method=GRID,
-                   resolution=res_x, lipschitz=1.0, seed=budget.seed)
+                   resolution=res_x, lipschitz=1.0)
 
 
 # -- dual family ------------------------------------------------------------
@@ -439,13 +435,13 @@ def d_star_zero(space: SpaceDescriptor, f, t: float,
     fa = _unit_coords(space, f, "dual", "f")
     lower = d_point(W, fa, t, budget).lower
     res_i = _resolution(budget, 2e-3, 0.05, W.dim)
-    inner = lowdisc_sphere(W, 64, seed=budget.seed)
+    inner = lowdisc_sphere(W, 64)
     near = inner[_norm_array(W, inner - fa) <= t * (1.0 - 1e-6)][:8]
-    lower = float(np.max(_d_lower_cheap(W, near, t, res_i, budget.max_evals,
-                                        seed=budget.seed), initial=lower))
+    lower = float(np.max(_d_lower_cheap(W, near, t, res_i, budget.max_evals),
+                         initial=lower))
     upper, res_g = _d_star_zero_upper(W, fa, t, budget)
     return Bracket(lower=lower, upper=upper, method=GRID,
-                   resolution=res_g, lipschitz=1.0, seed=budget.seed)
+                   resolution=res_g, lipschitz=1.0)
 
 
 def _d_star_zero_upper(W: SpaceDescriptor, fa: np.ndarray, t: float,
@@ -480,17 +476,17 @@ def d_star_zero_global(space: SpaceDescriptor, t: float,
     res_i = _resolution(budget, 2e-3, 0.05, W.dim)
     grid = sphere_grid(W, res_f)
     h_f = grid.covering
-    sample = lowdisc_sphere(W, 48, seed=budget.seed)
+    sample = lowdisc_sphere(W, 48)
     lower = math.inf
     for fa in grid.points:
         near = sample[_norm_array(W, sample - fa) <= max(t - h_f, 0.0) * (1.0 - 1e-9)]
         cand = np.vstack([fa[None, :], near[:4]])
-        lows = _d_lower_cheap(W, cand, t, res_i, budget.max_evals, seed=budget.seed)
+        lows = _d_lower_cheap(W, cand, t, res_i, budget.max_evals)
         lower = min(lower, float(np.max(lows)))
         if lower <= 0.0:
             break
     # upper bound: d*0(t) <= d*0(f, t) at any sampled f
-    probes = lowdisc_sphere(W, 4, seed=budget.seed + 1)
+    probes = lowdisc_sphere(W, 4)
     upper = min(_d_star_zero_upper(W, fa, t, budget)[0] for fa in probes)
     return Bracket(lower=lower, upper=upper, method=GRID,
-                   resolution=res_f, lipschitz=1.0, seed=budget.seed)
+                   resolution=res_f, lipschitz=1.0)

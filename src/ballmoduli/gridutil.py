@@ -49,12 +49,13 @@ def sharp_equiv_constants(space: SpaceDescriptor) -> EquivConstants:
 
     The crude constants make the norm provably Lipschitz on the Euclidean
     sphere; evaluating on a fine grid then gives rigorous sharper bounds.
+    Every certified search starts here, so this is where a dimension other
+    than 2 or 3 is refused.
     """
-    crude = equiv_constants(space)
     d = space.dim
-    if d == 1:
-        v = float(_norm_array(space, np.array([[1.0]])))
-        return EquivConstants(c=v, C=v)
+    if d not in (2, 3):
+        raise DomainError(f"certified searches need dimension 2 or 3, got {d}")
+    crude = equiv_constants(space)
     if d == 2:
         n = 8192
         theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
@@ -117,11 +118,7 @@ def sphere_grid(space: SpaceDescriptor, resolution: float) -> SphereGrid:
         raise DomainError("resolution must be positive")
     eq = sharp_equiv_constants(space)
     L = eq.projection_lipschitz
-    d = space.dim
-    if d == 1:
-        pts = np.array([[1.0], [-1.0]]) / _norm_array(space, np.array([[1.0]]))[0]
-        return SphereGrid(points=pts, covering=0.0)
-    if d == 2:
+    if space.dim == 2:
         # Euclidean-arc half step * projection Lipschitz bounds the covering
         n = max(8, int(math.ceil(math.pi * L / resolution)))
         if n > _MAX_GRID_POINTS:
@@ -131,14 +128,12 @@ def sphere_grid(space: SpaceDescriptor, resolution: float) -> SphereGrid:
         pts = dirs / _norm_array(space, dirs)[:, None]
         h = L * (math.pi / n)  # half angular step, chord <= arc
         return SphereGrid(points=pts, covering=h)
-    if d == 3:
-        verts, faces = _icosphere_for(resolution / L)
-        pts = verts / _norm_array(space, verts)[:, None]
-        # Euclidean covering radius of the triangulated sphere: any unit
-        # vector lies in a face cap; bound by the largest circumradius.
-        r = _max_circumradius(verts, faces)
-        return SphereGrid(points=pts, covering=L * r)
-    raise DomainError("certified sphere grids are limited to dimension <= 3")
+    verts, faces = _icosphere_for(resolution / L)
+    pts = verts / _norm_array(space, verts)[:, None]
+    # Euclidean covering radius of the triangulated sphere: any unit
+    # vector lies in a face cap; bound by the largest circumradius.
+    r = _max_circumradius(verts, faces)
+    return SphereGrid(points=pts, covering=L * r)
 
 
 def _covering_runs(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,22 +230,18 @@ def _icosphere_for(target_euclid: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=256)
-def lowdisc_sphere(space: SpaceDescriptor, n: int, seed: int = 0) -> np.ndarray:
-    """Deterministic low-discrepancy sequence on the unit sphere (memoized,
-    read-only).  ``seed`` is used only outside dimensions 2 and 3."""
-    d = space.dim
-    if d == 2:
+def lowdisc_sphere(space: SpaceDescriptor, n: int) -> np.ndarray:
+    """Deterministic low-discrepancy sequence on the unit sphere of a 2-D
+    or 3-D space (memoized, read-only)."""
+    if space.dim == 2:
         theta = (2.0 * math.pi) * ((np.arange(n) * 0.6180339887498949 + 0.05) % 1.0)
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    elif d == 3:
+    else:
         k = np.arange(n) + 0.5
         z = 1.0 - 2.0 * k / n
         r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         th = GOLDEN_ANGLE * np.arange(n)
         dirs = np.stack([r * np.cos(th), r * np.sin(th), z], axis=-1)
-    else:
-        dirs = np.random.default_rng(seed).standard_normal((n, d))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     pts = dirs / _norm_array(space, dirs)[:, None]
     pts.flags.writeable = False
     return pts

@@ -87,7 +87,7 @@ def slice_diameter(space: SpaceDescriptor, slc: Slice,
     lower = _max_pair(W, grid.points, vals >= alpha)
     upper = (_max_pair(W, grid.points, relax) + 2.0 * h) if np.any(relax) else 0.0
     return Bracket(lower=lower, upper=upper, method=GRID,
-                   resolution=res, lipschitz=1.0, seed=budget.seed)
+                   resolution=res, lipschitz=1.0)
 
 
 _PAIR_WINDOW = np.arange(-1, 2)  # each candidate partner is widened by one index
@@ -163,7 +163,7 @@ def f_eps_radius(space: SpaceDescriptor, eps: float,
     tau = 1.0 - 2.0 * max(delta.lower, 0.0)
     upper = min(1.0, tau)
 
-    samples = [lowdisc_sphere(W, 24, seed=budget.seed)]
+    samples = [lowdisc_sphere(W, 24)]
     if W.kind == "polyhedral":
         samples.append(_facet_midpoints(W))
     shell = np.vstack(samples)
@@ -179,7 +179,7 @@ def f_eps_radius(space: SpaceDescriptor, eps: float,
                 lower = max(lower, float(_norm_array(W, fr)))
     lower = min(lower, upper)
     return Bracket(lower=lower, upper=upper, method=MULTISTART,
-                   resolution=delta.resolution, lipschitz=1.0, seed=budget.seed)
+                   resolution=delta.resolution, lipschitz=1.0)
 
 
 def _facet_midpoints(W: SpaceDescriptor) -> np.ndarray:
@@ -198,7 +198,7 @@ def _has_witness_slice(space: SpaceDescriptor, W: SpaceDescriptor,
     if r < 1e-12:
         return True  # the origin lies in every slice; small slices exist
     dirs = [duality_preimage(space, fr / r).array]
-    dirs.extend(lowdisc_sphere(space, 12, seed=budget.seed + 1))
+    dirs.extend(lowdisc_sphere(space, 12))
     slice_budget = budget.with_resolution(_resolution(budget, 5e-3, 0.08, W.dim))
     for xa in dirs:
         v = float(fr @ xa)

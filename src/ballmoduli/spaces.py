@@ -316,29 +316,15 @@ def _norm_array(space: SpaceDescriptor, a: np.ndarray):
         w = np.asarray(space.weights)
         return np.sum(w * np.abs(a) ** space.p, axis=-1) ** (1.0 / space.p)
     if space.kind == "polyhedral":
-        return _max_last(a @ space.facets.T)
+        # facet-major: numpy reduces a long leading axis far faster than the
+        # short facet axis of a @ facets.T, to the same values
+        vals = space.facets @ a.reshape(-1, space.dim).T
+        return vals.max(axis=0).reshape(a.shape[:-1])[()]
     if space.kind == "lp-sum":
         parts = [_norm_array(c, a[..., s])
                  for c, s in zip(space.components, space.block_slices)]
         return np.sum(np.stack(parts, axis=-1) ** space.p, axis=-1) ** (1.0 / space.p)
     raise DescriptorError(space.kind)
-
-
-_MAX_LAST_BLOCK = 1 << 16  # entries of _max_last's transposed copy
-
-
-def _max_last(a: np.ndarray) -> np.ndarray:
-    """``np.max(a, axis=-1)``, the same values: numpy reduces a short last
-    axis about ten times slower than a leading one, so the facet axis of a
-    (..., facets) product is moved to the front first, in row blocks that
-    keep the copy at ``_MAX_LAST_BLOCK`` entries (a whole copy would double
-    the peak memory of the large 3-D pair scans)."""
-    flat = a.reshape(-1, a.shape[-1])
-    out = np.empty(len(flat))
-    step = max(1, _MAX_LAST_BLOCK // a.shape[-1])
-    for i in range(0, len(flat), step):
-        out[i:i + step] = np.ascontiguousarray(flat[i:i + step].T).max(axis=0)
-    return out.reshape(a.shape[:-1])[()]
 
 
 def dual_norm(space: SpaceDescriptor, f) -> np.ndarray | float:
@@ -410,9 +396,9 @@ def _support_array(space: SpaceDescriptor, a: np.ndarray) -> np.ndarray:
         return w * np.sign(a) * np.abs(a) ** (space.p - 1.0)
     if space.kind == "polyhedral":
         V = space.facets
-        vals = a @ V.T
-        top = np.minimum(_max_last(vals)[..., None], 1.0)
-        return V[np.argmax(vals >= top - 1e-9, axis=-1)]
+        vals = V @ a.reshape(-1, space.dim).T
+        top = np.minimum(vals.max(axis=0), 1.0)
+        return V[np.argmax(vals >= top - 1e-9, axis=0)].reshape(a.shape)
     if space.kind == "lp-sum":
         out = np.zeros_like(a)
         for c, s in zip(space.components, space.block_slices):

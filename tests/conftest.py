@@ -12,4 +12,4 @@ def rng():
 @pytest.fixture
 def coarse():
     """A coarse budget for tests that only need qualitative brackets."""
-    return Budget(resolution=8e-3, seed=0)
+    return Budget(resolution=8e-3)

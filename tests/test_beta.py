@@ -291,3 +291,39 @@ class TestRunFloors:
             for f, floor in zip(F, floors):
                 b = beta_sup(space, f, tt, inner)
                 assert floor <= (b.lower if lower else b.upper) + 1e-12
+
+
+def _pin_values(space, t):
+    """Exact beta(g, t) at every dual vertex and edge midpoint of a polygon,
+    in the order ``beta._exact_pins`` visits them."""
+    from ballmoduli.oracle import exact_beta_sup, to_polygon
+    dual = to_polygon(space).polar()
+    V, out = dual.vertices, []
+    for v, w in zip(V, V[1:] + V[:1]):
+        for cand in (v, ((v[0] + w[0]) / 2, (v[1] + w[1]) / 2)):
+            scale = dual.gauge(cand)
+            out.append(float(exact_beta_sup(space, (cand[0] / scale, cand[1] / scale), t)))
+    return out
+
+
+class TestExactPins:
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_least_pin_over_all_pins(self, seed):
+        # at t = 0.7 every pin of these polygons is positive, so the search
+        # runs to the end; at t = 0.3 a later pin is 0
+        space = _rational_polygon(seed)
+        for t in (0.3, 0.7):
+            values = _pin_values(space, t)
+            assert beta._exact_pins(space, t) == min(values)
+            assert (min(values) > 0.0) == (t == 0.7)
+
+    @pytest.mark.parametrize("name", ["l1-2d", "square-rot", "linf-2d"])
+    def test_stops_at_the_first_zero(self, name, monkeypatch):
+        # the first edge midpoint is the first zero pin
+        from ballmoduli import oracle
+        calls = []
+        real = oracle.exact_beta_sup
+        monkeypatch.setattr(oracle, "exact_beta_sup",
+                            lambda *a: calls.append(a) or real(*a))
+        assert beta._exact_pins(preset(name), 0.55) == 0.0
+        assert len(calls) == 2

@@ -133,7 +133,7 @@ def test_missing_subcommand_exits_2(capsys):
 
 
 class TestOracleDiff:
-    def test_budget_and_seed_reach_the_battery(self, capsys, monkeypatch):
+    def test_budget_reaches_the_battery(self, capsys, monkeypatch):
         from ballmoduli.config import DEFAULT_BUDGET, Budget
         seen = []
 
@@ -142,6 +142,31 @@ class TestOracleDiff:
             return {"n_instances": 0, "n_overlap": 0, "records": []}
 
         monkeypatch.setattr(cli, "run_oracle_battery", battery)
-        assert run(capsys, "oracle-diff", "--budget", "1000", "--seed", "3")[0] == 0
+        assert run(capsys, "oracle-diff", "--budget", "1000")[0] == 0
         assert run(capsys, "oracle-diff")[0] == 0
-        assert seen == [Budget(max_evals=1000, seed=3), DEFAULT_BUDGET]
+        assert seen == [Budget(max_evals=1000), DEFAULT_BUDGET]
+
+
+class TestSeedOption:
+    """Only the verification suites draw at random, so only verify takes a
+    seed."""
+
+    def test_verify_seed_reaches_the_suite(self, capsys, monkeypatch):
+        from ballmoduli import verify as vmod
+        seen = []
+
+        def suite(spaces=None, seed=0, budget=None):
+            seen.append(seed)
+            return VerificationReport(suite="seen", checks=(), seed=seed, config={})
+
+        monkeypatch.setitem(vmod.SUITES, "seen", suite)
+        assert run(capsys, "verify", "--suite", "seen", "--seed", "3")[0] == 0
+        assert run(capsys, "verify", "--suite", "seen")[0] == 0
+        assert seen == [3, 0]
+
+    def test_other_commands_refuse_a_seed(self, capsys):
+        assert run(capsys, "oracle-diff", "--seed", "3")[0] == 2
+        assert run(capsys, "compute", "--space", "l2-2", "--modulus", "beta",
+                   "--t", "0.5", "--seed", "3")[0] == 2
+        assert run(capsys, "sweep", "--space", "l2-2", "--modulus", "beta",
+                   "--t-range", "0.1:0.5", "--steps", "2", "--seed", "3")[0] == 2

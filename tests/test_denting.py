@@ -184,10 +184,10 @@ class TestPrunedBounds:
         make, res = PRUNE_SPACES[name]
         space = make()
         X = np.vstack([sphere_grid(space, 0.4).points[:4],
-                       lowdisc_sphere(space, 3, seed=2)])
+                       lowdisc_sphere(space, 3)])
         dual = sphere_grid(polar_space(space), 2 * res)
         cases = [(dual.points, dual.covering), (dual.points, None),
-                 (lowdisc_sphere(polar_space(space), 16, seed=1), None),
+                 (lowdisc_sphere(polar_space(space), 16), None),
                  (np.empty((0, space.dim)), None)]
         for F, covering in cases:
             for pts in (X, X[:0]):
@@ -275,7 +275,7 @@ class TestDStarZero:
         # the lower bound is d*(f, t) alone
         space = preset("l2-2")
         f = np.array([math.cos(0.3), math.sin(0.3)])
-        inner = lowdisc_sphere(space, 64, seed=0)
+        inner = lowdisc_sphere(space, 64)
         assert np.min(np.linalg.norm(inner - f, axis=1)) > 0.01
         coarse = Budget(resolution=4e-2)
         b = d_star_zero(space, f, 0.01, coarse)
@@ -290,7 +290,7 @@ class TestDStarZero:
     def test_global_upper_is_the_least_probe_upper(self):
         # the global sweep's probes run d_star_zero's cover scan alone
         space, t, budget = preset("lp:1.5-2d"), 0.2, Budget(resolution=0.3)
-        probes = lowdisc_sphere(polar_space(space), 4, seed=budget.seed + 1)
+        probes = lowdisc_sphere(polar_space(space), 4)
         want = min(d_star_zero(space, f, t, budget).upper for f in probes)
         assert d_star_zero_global(space, t, budget).upper == want
 

@@ -106,15 +106,12 @@ class TestDerivedData:
         assert a is not b
         assert polar_space(a) is polar_space(b)
         assert sphere_grid(a, 0.05) is sphere_grid(b, 0.05)
-        assert lowdisc_sphere(a, 16, seed=3) is lowdisc_sphere(b, 16, seed=3)
+        assert lowdisc_sphere(a, 16) is lowdisc_sphere(b, 16)
 
-    @pytest.mark.parametrize("name", ["l2-2", "l2-3", "lp:3-4d"])
+    @pytest.mark.parametrize("name", ["l2-2", "l2-3"])
     def test_cached_arrays_are_read_only(self, name):
         space = preset(name)
-        arrays = [lowdisc_sphere(space, 8)]
-        if space.dim <= 3:
-            arrays.append(sphere_grid(space, 0.3).points)
-        for a in arrays:
+        for a in (lowdisc_sphere(space, 8), sphere_grid(space, 0.3).points):
             with pytest.raises(ValueError):
                 a[0, 0] = 0.0
 
