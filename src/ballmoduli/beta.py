@@ -11,17 +11,19 @@ certified grids brackets the value.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
+from . import exactpoly
 from .bracket import GRID, Bracket, ModulusCurve
 from .config import Budget, resolve
 from .denting import _PRUNE_STRIDE, _resolution
 from .errors import DomainError
 from .gridutil import _covering_runs, sphere_grid
-from .spaces import (SpaceDescriptor, duality_preimage, lp_space, polar_space,
-                     _norm_array, _support_array, _unit_coords)
+from .spaces import (SpaceDescriptor, duality_preimage, exact_vertices, lp_space,
+                     polar_space, _norm_array, _support_array, _unit_coords)
 
 
 def is_euclidean(space: SpaceDescriptor) -> bool:
@@ -264,8 +266,9 @@ def _exact_pins(space: SpaceDescriptor, t: float) -> float:
     """The least exact beta(g, t) over the dual-sphere vertices and edge
     midpoints of a 2-D polygon: each is a genuine unit functional, so
     beta(t) <= the value.  beta(g, t) >= 0, so a zero ends the search."""
-    from .oracle import exact_beta_sup, to_polygon
-    dual = to_polygon(space).polar()
+    primal = exactpoly.Polygon(exact_vertices(space))
+    dual = primal.polar()
+    t_exact = Fraction(t).limit_denominator(10 ** 12)
     n = len(dual.vertices)
     best = math.inf
     for i, v in enumerate(dual.vertices):
@@ -273,7 +276,7 @@ def _exact_pins(space: SpaceDescriptor, t: float) -> float:
         for cand in (v, ((v[0] + w[0]) / 2, (v[1] + w[1]) / 2)):
             scale = dual.gauge(cand)
             g = (cand[0] / scale, cand[1] / scale)
-            best = min(best, float(exact_beta_sup(space, g, t)))
+            best = min(best, float(exactpoly.beta_sup_exact(primal, dual, g, t_exact)))
             if best == 0.0:
                 return best
     return best

@@ -94,15 +94,14 @@ def _emit(rows: list[dict], columns: list[str], args) -> None:
         for row in rows:
             writer.writerow({c: row.get(c, "") for c in columns})
         text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args)
 
 
 def _emit_json(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, default=str) + "\n"
+    _write(json.dumps(payload, indent=2, default=str) + "\n", args)
+
+
+def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

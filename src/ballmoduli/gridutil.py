@@ -233,6 +233,8 @@ def _icosphere_for(target_euclid: float) -> tuple[np.ndarray, np.ndarray]:
 def lowdisc_sphere(space: SpaceDescriptor, n: int) -> np.ndarray:
     """Deterministic low-discrepancy sequence on the unit sphere of a 2-D
     or 3-D space (memoized, read-only)."""
+    if space.dim not in (2, 3):
+        raise DomainError(f"sphere samples need dimension 2 or 3, got {space.dim}")
     if space.dim == 2:
         theta = (2.0 * math.pi) * ((np.arange(n) * 0.6180339887498949 + 0.05) % 1.0)
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)

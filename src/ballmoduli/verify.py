@@ -90,6 +90,33 @@ class VerificationReport:
                 "checks": [c.to_json() for c in self.checks]}
 
 
+SUITES: dict[str, Callable[..., VerificationReport]] = {}
+
+
+def _suite(name: str, default_spaces: Sequence[str]):
+    """Register a suite body in ``SUITES`` under ``name``.
+
+    The body takes ``(names, seed, budget, **kwargs)``, with the budget
+    resolved and the preset list defaulted to ``default_spaces``, and returns
+    ``(checks, config)`` or ``(checks, config, flags)``.  The registered
+    suite sorts the checks and builds the report; the config gets the
+    budget's resolution as its last key unless the body set its own.
+    """
+    def register(body):
+        def suite(spaces: Optional[Sequence[str]] = None, seed: int = 0,
+                  budget: Optional[Budget] = None, **kwargs) -> VerificationReport:
+            budget = resolve(budget)
+            names = list(spaces) if spaces else list(default_spaces)
+            checks, config, *flags = body(names, seed, budget, **kwargs)
+            config.setdefault("resolution", budget.resolution)
+            return VerificationReport(suite=name, checks=_sorted(checks), seed=seed,
+                                      config=config, flags=flags[0] if flags else {})
+        suite.__doc__ = body.__doc__
+        SUITES[name] = suite
+        return suite
+    return register
+
+
 def _sorted(checks: list[Check]) -> tuple[Check, ...]:
     """Canonical report order, independent of execution order."""
     return tuple(sorted(
@@ -116,10 +143,22 @@ def compare(name: str, space: str, params: dict, lhs: Bracket, rhs: Bracket,
                  counterexample=counterexample if status == FAIL else None)
 
 
+def _holds(name: str, space: str, params: dict, ok: bool, lhs: Bracket,
+           rhs: Bracket) -> Check:
+    """A check decided by ``ok`` outright, not by comparing the brackets."""
+    return Check(name=name, space=space, params=params,
+                 status=PASS if ok else FAIL, lhs=lhs, rhs=rhs)
+
+
 def _vacuous(name: str, space: str, params: dict, rhs: Bracket) -> Check:
-    params = dict(params, vacuous=True)
-    return Check(name=name, space=space, params=params, status=PASS,
-                 lhs=Bracket.exact(0.0), rhs=rhs)
+    return _holds(name, space, dict(params, vacuous=True), True,
+                  Bracket.exact(0.0), rhs)
+
+
+def _scaled(b: Bracket, k: float) -> Bracket:
+    """k times a bracket, for k > 0."""
+    return Bracket(lower=k * b.lower, upper=k * b.upper, method=b.method,
+                   resolution=b.resolution, lipschitz=k)
 
 
 def _unit(space: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:
@@ -148,12 +187,9 @@ LEMMA_NAMES = (
 )
 
 
-def suite_lemmas(spaces: Optional[Sequence[str]] = None, seed: int = 0,
-                 budget: Optional[Budget] = None,
-                 instances_per_lemma: int = 210) -> VerificationReport:
+@_suite("lemmas", LEMMA_PRESETS)
+def suite_lemmas(names, seed, budget, instances_per_lemma: int = 210):
     """Randomized slice-geometry inequality battery across the presets."""
-    budget = resolve(budget)
-    names = list(spaces) if spaces else list(LEMMA_PRESETS)
     checks: list[Check] = []
     for li, lemma in enumerate(LEMMA_NAMES):
         rng = np.random.default_rng(seed * 1000 + li)
@@ -162,38 +198,30 @@ def suite_lemmas(spaces: Optional[Sequence[str]] = None, seed: int = 0,
             space = preset(name)
             bud = _slice_budget(budget, space.dim)
             checks.append(_lemma_instance(lemma, name, space, rng, bud, i))
-    return VerificationReport(
-        suite="lemmas", checks=_sorted(checks), seed=seed,
-        config={"spaces": names, "instances_per_lemma": instances_per_lemma,
-                "resolution": budget.resolution})
+    return checks, {"spaces": names, "instances_per_lemma": instances_per_lemma}
 
 
 def _lemma_instance(lemma: str, name: str, space: SpaceDescriptor,
                     rng: np.random.Generator, bud: Budget, i: int) -> Check:
-    if lemma == "slice-diameter-shrinks-under-positive-s":
-        x = _unit(space, rng)
-        f = support_functional(space, x).array
+    dual = lemma == "dual-slice-diameter-shrinks-under-positive-s-star"
+    if dual or lemma == "slice-diameter-shrinks-under-positive-s":
+        # s with the slice of f, or s* with the w*-slice of x
+        if dual:
+            f = _unit(polar_space(space), rng)
+            x = duality_preimage(space, f).array
+        else:
+            x = _unit(space, rng)
+            f = support_functional(space, x).array
         t = float(rng.uniform(0.3, 1.2))
         params = {"i": i, "t": t}
-        s = s_point(space, x, f, t, bud)
+        s = s_star(space, f, x, t, bud) if dual else s_point(space, x, f, t, bud)
         thr = float(f @ x) * (1.0 - s.upper)
         if s.lower <= 1e-12 or thr <= 0.0:
             return _vacuous(lemma, name, params, s)
-        diam = slice_diameter(space, Slice.of(f, thr), bud)
-        return compare(lemma, name, params, Bracket.exact(2.0 * t), diam,
+        sl = Slice.of(x, thr, "dual") if dual else Slice.of(f, thr)
+        return compare(lemma, name, params, Bracket.exact(2.0 * t),
+                       slice_diameter(space, sl, bud),
                        {"x": x.tolist(), "f": f.tolist(), "s": s.to_json()})
-    if lemma == "dual-slice-diameter-shrinks-under-positive-s-star":
-        f = _unit(polar_space(space), rng)
-        x = duality_preimage(space, f).array
-        t = float(rng.uniform(0.3, 1.2))
-        params = {"i": i, "t": t}
-        s = s_star(space, f, x, t, bud)
-        thr = float(f @ x) * (1.0 - s.upper)
-        if s.lower <= 1e-12 or thr <= 0.0:
-            return _vacuous(lemma, name, params, s)
-        diam = slice_diameter(space, Slice.of(x, thr, "dual"), bud)
-        return compare(lemma, name, params, Bracket.exact(2.0 * t), diam,
-                       {"f": f.tolist(), "x": x.tolist(), "s": s.to_json()})
     if lemma == "small-slice-forces-s-lower-bound":
         x = _unit(space, rng)
         f = support_functional(space, x).array
@@ -226,10 +254,8 @@ def _lemma_instance(lemma: str, name: str, space: SpaceDescriptor,
         d_a = slice_diameter(space, Slice.of(x, alpha, "dual"), bud)
         d_b = slice_diameter(space, Slice.of(x, beta, "dual"), bud)
         factor = (1.0 - beta) / (1.0 - alpha)
-        lhs = Bracket(lower=factor * d_a.lower, upper=factor * d_a.upper,
-                      method=d_a.method, resolution=d_a.resolution,
-                      lipschitz=factor)
-        return compare(lemma, name, params, lhs, d_b, {"x": x.tolist()})
+        return compare(lemma, name, params, _scaled(d_a, factor), d_b,
+                       {"x": x.tolist()})
     if lemma == "slice-diameter-2k-threshold":
         x = _unit(space, rng)
         k = int(rng.integers(1, 4))
@@ -238,10 +264,8 @@ def _lemma_instance(lemma: str, name: str, space: SpaceDescriptor,
         params = {"i": i, "k": k, "gamma": gamma, "eta": eta}
         d_g = slice_diameter(space, Slice.of(x, gamma, "dual"), bud)
         d_e = slice_diameter(space, Slice.of(x, eta, "dual"), bud)
-        lhs = Bracket(lower=2.0 * k * d_g.lower, upper=2.0 * k * d_g.upper,
-                      method=d_g.method, resolution=d_g.resolution,
-                      lipschitz=2.0 * k)
-        return compare(lemma, name, params, lhs, d_e, {"x": x.tolist()})
+        return compare(lemma, name, params, _scaled(d_g, 2.0 * k), d_e,
+                       {"x": x.tolist()})
     raise DomainError(f"unknown lemma {lemma!r}")
 
 
@@ -251,11 +275,9 @@ CHAIN_PRESETS = ("lp:1.5-2d", "lp:2-2d", "lp:3-2d")
 CHAIN_T = (0.4, 0.8, 1.2)
 
 
-def suite_chain(spaces: Optional[Sequence[str]] = None, seed: int = 0,
-                budget: Optional[Budget] = None) -> VerificationReport:
+@_suite("chain", CHAIN_PRESETS)
+def suite_chain(names, seed, budget):
     """Convexity/denting comparison inequalities between the dual moduli."""
-    budget = resolve(budget)
-    names = list(spaces) if spaces else list(CHAIN_PRESETS)
     checks: list[Check] = []
     for name in names:
         space = preset(name)
@@ -272,29 +294,19 @@ def suite_chain(spaces: Optional[Sequence[str]] = None, seed: int = 0,
                 "dstar-dominates-twentieth-scale-dual-convexity", name,
                 {"t": t}, dstar_t, delta_s))
             if t < 1.0:
-                bcurve = beta_global(space, [t], budget)
-                b = bcurve.values[0]
-                rhs = Bracket(lower=2.0 * delta_t.lower,
-                              upper=2.0 * delta_t.upper,
-                              method=delta_t.method,
-                              resolution=delta_t.resolution, lipschitz=2.0)
+                b = beta_global(space, [t], budget).values[0]
                 checks.append(compare(
                     "beta-dominates-twice-dual-convexity", name,
-                    {"t": t}, b, rhs))
-    return VerificationReport(
-        suite="chain", checks=_sorted(checks), seed=seed,
-        config={"spaces": names, "t_grid": list(CHAIN_T),
-                "resolution": budget.resolution})
+                    {"t": t}, b, _scaled(delta_t, 2.0)))
+    return checks, {"spaces": names, "t_grid": list(CHAIN_T)}
 
 
 # -- MIP/UMIP detection -----------------------------------------------------
 
 
-def suite_mip_detect(spaces: Optional[Sequence[str]] = None, seed: int = 0,
-                     budget: Optional[Budget] = None) -> VerificationReport:
+@_suite("mip-detect", ("l1-2d", "l2-2"))
+def suite_mip_detect(names, seed, budget):
     """Classify spaces as intersection-property positive or violated."""
-    budget = resolve(budget)
-    names = list(spaces) if spaces else ["l1-2d", "l2-2"]
     checks: list[Check] = []
     flags: dict = {}
     t_grid = (0.25, 0.5, 0.75)
@@ -307,12 +319,10 @@ def suite_mip_detect(spaces: Optional[Sequence[str]] = None, seed: int = 0,
                 "beta-sup-vanishes-at-flat-face-functional", name,
                 {"f": list(f), "t": t}, Bracket.exact(0.0), Bracket.exact(val)))
             zero = oracle.exact_d_star_zero_is_zero(space, f, t)
-            checks.append(Check(
-                name="no-wstar-denting-near-flat-face-functional", space=name,
-                params={"f": list(f), "t": t},
-                status=PASS if zero else FAIL,
-                lhs=Bracket.exact(0.0),
-                rhs=Bracket.exact(0.0 if zero else 1.0)))
+            checks.append(_holds(
+                "no-wstar-denting-near-flat-face-functional", name,
+                {"f": list(f), "t": t}, zero, Bracket.exact(0.0),
+                Bracket.exact(0.0 if zero else 1.0)))
             flags[name] = ("MIP: violated" if (val == 0.0 and zero)
                            else "MIP: positive")
         else:
@@ -321,15 +331,10 @@ def suite_mip_detect(spaces: Optional[Sequence[str]] = None, seed: int = 0,
             for t, b in zip(curve.t_grid, curve.values):
                 ok = b.lower > 0.0
                 positive = positive and ok
-                checks.append(Check(
-                    name="beta-curve-lower-bracket-positive", space=name,
-                    params={"t": t}, status=PASS if ok else FAIL,
-                    lhs=b, rhs=Bracket.exact(0.0)))
+                checks.append(_holds("beta-curve-lower-bracket-positive", name,
+                                     {"t": t}, ok, b, Bracket.exact(0.0)))
             flags[name] = "MIP: positive" if positive else "MIP: undetermined"
-    return VerificationReport(
-        suite="mip-detect", checks=_sorted(checks), seed=seed,
-        config={"spaces": names, "t_grid": list(t_grid),
-                "resolution": budget.resolution}, flags=flags)
+    return checks, {"spaces": names, "t_grid": list(t_grid)}, flags
 
 
 # -- lp-sum stability battery -----------------------------------------------
@@ -344,18 +349,14 @@ def _block_rotate(fa: np.ndarray, slices, angles) -> np.ndarray:
     return g
 
 
-def suite_lpsum(spaces: Optional[Sequence[str]] = None, seed: int = 0,
-                budget: Optional[Budget] = None,
-                n_pairs: int = 1000) -> VerificationReport:
+@_suite("lpsum", ("l2sum-4",))
+def suite_lpsum(names, seed, budget, n_pairs: int = 1000):
     """Sum-stability contracts for the 2-sum of two Euclidean planes."""
-    budget = resolve(budget)
-    name = (list(spaces) or ["l2sum-4"])[0] if spaces else "l2sum-4"
+    name = names[0]
     sum_space = preset(name)
     if sum_space.kind != "lp-sum":
         raise DomainError("the lpsum suite needs an lp-sum space")
-    p = q = sum_space.p
-    if abs(p - 2.0) > 1e-12:
-        q = p / (p - 1.0)
+    p, q = sum_space.p, sum_space.q
     comp_grid = (0.05, 0.1, 0.2)
     curves = tuple(beta_global(c, comp_grid, budget)
                    for c in sum_space.components)
@@ -366,80 +367,59 @@ def suite_lpsum(spaces: Optional[Sequence[str]] = None, seed: int = 0,
     rows = []
     scales_case1 = (0.001, 0.01, 0.05, 0.2, 0.5, 1.0)
     scales_gen = (1e-6, 1e-5, 5e-5, 1e-4, 5e-4)
+
+    def rotate(j, fa, z):
+        angles = rng.normal(scale=scales_case1[j % len(scales_case1)],
+                            size=len(sum_space.components))
+        return _block_rotate(fa, sum_space.block_slices, angles)
+
+    def perturb(j, fa, z):
+        g = z + rng.normal(scale=scales_gen[j % len(scales_gen)], size=sum_space.dim)
+        ng = float(_norm_array(dual_sum, g))
+        return g / ng if ng > 1.0 else g
+
+    def _contract(cname, t, threshold, draw_g, draws):
+        """g(z) > threshold must force ||f - g|| < t over ``draws`` pairs."""
+        triggered, worst, ce = 0, 0.0, None
+        for j in range(draws):
+            fa = _unit(dual_sum, rng)
+            z = witness_functional(sum_space, fa).array
+            g = draw_g(j, fa, z)
+            if float(g @ z) > threshold:
+                triggered += 1
+                dist = float(_norm_array(dual_sum, fa - g))
+                if dist > worst:
+                    worst, ce = dist, {"f": fa.tolist(), "g": g.tolist(), "dist": dist}
+        return compare(cname, name, {"t": t, "n_pairs": n_pairs, "triggered": triggered},
+                       Bracket.exact(t + 1e-9), Bracket.exact(worst), ce)
+
     for t in (0.4, 0.8):
         tau = sum_slice_threshold_case1(q, t, cm)
         a_star = alpha_star(q, t, cm)
         bound = sum_beta_lower_bound(p, q, t, cm)
-
-        # blockwise-equal-norm contract: g(z) > tau forces ||f - g|| < t
-        triggered = 0
-        worst = 0.0
-        ce = None
-        for j in range(n_pairs):
-            fa = _unit(dual_sum, rng)
-            z = witness_functional(sum_space, fa).array
-            sc = scales_case1[j % len(scales_case1)]
-            angles = rng.normal(scale=sc, size=len(sum_space.components))
-            g = _block_rotate(fa, sum_space.block_slices, angles)
-            if float(g @ z) > tau:
-                triggered += 1
-                dist = float(_norm_array(dual_sum, fa - g))
-                if dist > worst:
-                    worst = dist
-                    ce = {"f": fa.tolist(), "g": g.tolist(), "dist": dist}
-        checks.append(compare(
-            "equal-block-norm-slice-contract", name,
-            {"t": t, "n_pairs": n_pairs, "triggered": triggered},
-            Bracket.exact(t + 1e-9), Bracket.exact(worst), ce))
-
-        # general contract at the derived threshold
-        triggered_g = 0
-        worst_g = 0.0
-        ce_g = None
-        if bound > 0.0:
-            for j in range(n_pairs):
-                fa = _unit(dual_sum, rng)
-                z = witness_functional(sum_space, fa).array
-                sc = scales_gen[j % len(scales_gen)]
-                g = z + rng.normal(scale=sc, size=sum_space.dim)
-                ng = float(_norm_array(dual_sum, g))
-                if ng > 1.0:
-                    g = g / ng
-                if float(g @ z) > 1.0 - bound:
-                    triggered_g += 1
-                    dist = float(_norm_array(dual_sum, fa - g))
-                    if dist > worst_g:
-                        worst_g = dist
-                        ce_g = {"f": fa.tolist(), "g": g.tolist(), "dist": dist}
-        checks.append(compare(
-            "derived-threshold-slice-contract", name,
-            {"t": t, "n_pairs": n_pairs, "triggered": triggered_g},
-            Bracket.exact(t + 1e-9), Bracket.exact(worst_g), ce_g))
-
+        # blockwise-equal-norm contract at tau, then the general contract at
+        # the derived threshold, which draws nothing when the bound is vacuous
+        checks.append(_contract("equal-block-norm-slice-contract", t, tau,
+                                rotate, n_pairs))
+        checks.append(_contract("derived-threshold-slice-contract", t, 1.0 - bound,
+                                perturb, n_pairs if bound > 0.0 else 0))
         b_sum = beta_global(sum_space, [t], budget).values[0]
-        checks.append(Check(
-            name="sum-beta-exceeds-derived-bound", space=name,
-            params={"t": t}, status=PASS if b_sum.lower >= bound else FAIL,
-            lhs=b_sum, rhs=Bracket.exact(bound)))
+        checks.append(_holds("sum-beta-exceeds-derived-bound", name, {"t": t},
+                             b_sum.lower >= bound, b_sum, Bracket.exact(bound)))
         rows.append({"t": t, "beta0_t4": cm.floor(t / 4.0),
                      "tau_case1": tau, "alpha_star": a_star, "bound": bound,
                      "beta_sum_lower": b_sum.lower,
                      "pass": b_sum.lower >= bound})
-    return VerificationReport(
-        suite="lpsum", checks=_sorted(checks), seed=seed,
-        config={"space": name, "n_pairs": n_pairs, "component_grid":
-                list(comp_grid), "resolution": budget.resolution},
-        flags={"rows": rows})
+    return (checks, {"space": name, "n_pairs": n_pairs,
+                     "component_grid": list(comp_grid)}, {"rows": rows})
 
 
 # -- ordering, dense-set, space algebra, beta slices, delta-q ---------------
 
 
-def suite_ordering(spaces: Optional[Sequence[str]] = None, seed: int = 0,
-                   budget: Optional[Budget] = None) -> VerificationReport:
+@_suite("ordering", ("l2-2", "lp:1.5-2d", "l1-2d"))
+def suite_ordering(names, seed, budget):
     """sup/inf structure: d*0(f,t) >= d*(f,t) >= s*(f,x,t)."""
-    budget = resolve(budget)
-    names = list(spaces) if spaces else ["l2-2", "lp:1.5-2d", "l1-2d"]
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
     for name in names:
@@ -458,17 +438,13 @@ def suite_ordering(spaces: Optional[Sequence[str]] = None, seed: int = 0,
                     "dstar-dominates-s-star", name,
                     {"t": t, "j": j}, ds, ss,
                     {"f": f.tolist(), "x": x.tolist()}))
-    return VerificationReport(
-        suite="ordering", checks=_sorted(checks), seed=seed,
-        config={"spaces": names, "resolution": budget.resolution})
+    return checks, {"spaces": names}
 
 
-def suite_dense_set(spaces: Optional[Sequence[str]] = None, seed: int = 0,
-                    budget: Optional[Budget] = None) -> VerificationReport:
+@_suite("dense-set", ("l2-2", "linf-2d"))
+def suite_dense_set(names, seed, budget):
     """Halving the sphere-sample spacing moves the global denting bracket
     midpoint by at most the spacing."""
-    budget = resolve(budget)
-    names = list(spaces) if spaces else ["l2-2", "linf-2d"]
     checks: list[Check] = []
     for name in names:
         space = preset(name)
@@ -482,17 +458,13 @@ def suite_dense_set(spaces: Optional[Sequence[str]] = None, seed: int = 0,
             {"t": t, "spacing": r},
             Bracket.exact(r + b1.width + b2.width), Bracket.exact(diff),
             {"coarse": b1.to_json(), "fine": b2.to_json()}))
-    return VerificationReport(
-        suite="dense-set", checks=_sorted(checks), seed=seed,
-        config={"spaces": names, "resolution": budget.resolution})
+    return checks, {"spaces": names}
 
 
-def suite_spaces(spaces: Optional[Sequence[str]] = None, seed: int = 0,
-                 budget: Optional[Budget] = None) -> VerificationReport:
+@_suite("spaces", LEMMA_PRESETS + ("l2sum-4",))
+def suite_spaces(names, seed, budget):
     """Norm-algebra contracts: pairing bound, bipolarity, support
     functionals, blockwise sum duality."""
-    budget = resolve(budget)
-    names = list(spaces) if spaces else list(LEMMA_PRESETS) + ["l2sum-4"]
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
     for name in names:
@@ -537,16 +509,12 @@ def suite_spaces(spaces: Optional[Sequence[str]] = None, seed: int = 0,
                 checks.append(compare(
                     "sum-dual-norm-is-blockwise", name, {"j": j},
                     Bracket.exact(1e-7), Bracket.exact(err)))
-    return VerificationReport(
-        suite="spaces", checks=_sorted(checks), seed=seed,
-        config={"spaces": names, "resolution": budget.resolution})
+    return checks, {"spaces": names}
 
 
-def suite_beta_slices(spaces: Optional[Sequence[str]] = None, seed: int = 0,
-                      budget: Optional[Budget] = None) -> VerificationReport:
+@_suite("beta-slices", ("l2-2", "lp:1.5-2d"))
+def suite_beta_slices(names, seed, budget):
     """Slice-containment and norming-slice facts behind the beta modulus."""
-    budget = resolve(budget)
-    names = list(spaces) if spaces else ["l2-2", "lp:1.5-2d"]
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
     for name in names:
@@ -584,21 +552,16 @@ def suite_beta_slices(spaces: Optional[Sequence[str]] = None, seed: int = 0,
                     "norming-slice-diameter-below-t", name, params,
                     Bracket.exact(t), diam, {"f": f.tolist()}))
         curve = beta_global(space, (0.25, 0.5, 0.75), budget)
-        checks.append(Check(
-            name="beta-curve-monotone-in-t", space=name,
-            params={"t_grid": [0.25, 0.5, 0.75]},
-            status=PASS if curve.is_monotone() else FAIL,
-            lhs=curve.values[-1], rhs=curve.values[0]))
-    return VerificationReport(
-        suite="beta-slices", checks=_sorted(checks), seed=seed,
-        config={"spaces": names, "resolution": budget.resolution})
+        checks.append(_holds("beta-curve-monotone-in-t", name,
+                             {"t_grid": [0.25, 0.5, 0.75]}, curve.is_monotone(),
+                             curve.values[-1], curve.values[0]))
+    return checks, {"spaces": names}
 
 
-def suite_delta_q(spaces: Optional[Sequence[str]] = None, seed: int = 0,
-                  budget: Optional[Budget] = None) -> VerificationReport:
+@_suite("delta-q", ())
+def suite_delta_q(names, seed, budget):
     """The internal convexity-modulus evaluator for lq norms agrees with the
     certified engine on three-dimensional lq spaces."""
-    budget = resolve(budget)
     if budget.resolution is None:
         budget = budget.with_resolution(0.3)
     checks: list[Check] = []
@@ -613,27 +576,12 @@ def suite_delta_q(spaces: Optional[Sequence[str]] = None, seed: int = 0,
             else:
                 ok = val <= b.upper + 1e-12
                 cname = "quadratic-convexity-lower-bound-valid"
-            checks.append(Check(
-                name=cname, space=f"lp:{q}-3d", params={"t": t},
-                status=PASS if ok else FAIL, lhs=b, rhs=Bracket.exact(val)))
-    return VerificationReport(
-        suite="delta-q", checks=_sorted(checks), seed=seed,
-        config={"resolution": budget.resolution})
+            checks.append(_holds(cname, f"lp:{q}-3d", {"t": t}, ok, b,
+                                 Bracket.exact(val)))
+    return checks, {"resolution": budget.resolution}
 
 
 # -- registry ---------------------------------------------------------------
-
-SUITES: dict[str, Callable[..., VerificationReport]] = {
-    "lemmas": suite_lemmas,
-    "chain": suite_chain,
-    "mip-detect": suite_mip_detect,
-    "lpsum": suite_lpsum,
-    "ordering": suite_ordering,
-    "dense-set": suite_dense_set,
-    "spaces": suite_spaces,
-    "beta-slices": suite_beta_slices,
-    "delta-q": suite_delta_q,
-}
 
 
 def list_suites() -> list[str]:
@@ -650,44 +598,24 @@ def run_suite(name: str, spaces: Optional[Sequence[str]] = None,
 
 # -- oracle/engine comparison battery ---------------------------------------
 
-_ORACLE_RES = {"delta": 2e-3, "s": 1e-3, "d": 3e-3, "beta": 4e-3,
-               "beta_sup": 1.5e-2, "slice-diameter": 2e-3}
-_EXACT_KINDS = {"s", "beta", "beta_sup", "slice-diameter"}
-
-
-def _engine_bracket(kind: str, space: SpaceDescriptor, args: dict,
-                    budget: Optional[Budget]) -> Bracket:
-    if kind == "delta":
-        return modulus_convexity(space, args["t"], budget)
-    if kind == "s":
-        return s_point(space, args["x"], args["f"], args["t"], budget)
-    if kind == "d":
-        return d_point(space, args["x"], args["t"], budget)
-    if kind == "beta":
-        return beta_point(space, args["f"], args["x"], args["t"], budget)
-    if kind == "beta_sup":
-        return beta_sup(space, args["f"], args["t"], budget)
-    if kind == "slice-diameter":
-        return slice_diameter(space, Slice.of(
-            args["direction"], args["alpha"], args.get("ball_side", "primal")),
-            budget)
-    raise DomainError(f"unsupported battery kind {kind!r}")
-
-
-def _exact_value(kind: str, space: SpaceDescriptor, args: dict):
-    if space.kind != "polyhedral" or space.dim != 2:
-        return None
-    if kind == "s":
-        return float(oracle.exact_s_point(space, args["x"], args["f"], args["t"]))
-    if kind == "beta":
-        return float(oracle.exact_beta_point(space, args["f"], args["x"], args["t"]))
-    if kind == "beta_sup":
-        return float(oracle.exact_beta_sup(space, args["f"], args["t"]))
-    if kind == "slice-diameter":
-        return float(oracle.exact_slice_diameter(
-            space, args["direction"], args["alpha"],
-            args.get("ball_side", "primal")))
-    return None
+# kind -> (oracle resolution, engine bracket (space, args, budget), exact
+# value on a 2-D polygon (space, args), or None where the oracle has none)
+_BATTERY_KINDS = {
+    "delta": (2e-3, lambda sp, a, b: modulus_convexity(sp, a["t"], b), None),
+    "s": (1e-3, lambda sp, a, b: s_point(sp, a["x"], a["f"], a["t"], b),
+          lambda sp, a: oracle.exact_s_point(sp, a["x"], a["f"], a["t"])),
+    "d": (3e-3, lambda sp, a, b: d_point(sp, a["x"], a["t"], b), None),
+    "beta": (4e-3, lambda sp, a, b: beta_point(sp, a["f"], a["x"], a["t"], b),
+             lambda sp, a: oracle.exact_beta_point(sp, a["f"], a["x"], a["t"])),
+    "beta_sup": (1.5e-2, lambda sp, a, b: beta_sup(sp, a["f"], a["t"], b),
+                 lambda sp, a: oracle.exact_beta_sup(sp, a["f"], a["t"])),
+    "slice-diameter": (
+        2e-3,
+        lambda sp, a, b: slice_diameter(sp, Slice.of(
+            a["direction"], a["alpha"], a.get("ball_side", "primal")), b),
+        lambda sp, a: oracle.exact_slice_diameter(
+            sp, a["direction"], a["alpha"], a.get("ball_side", "primal"))),
+}
 
 
 def run_oracle_battery(budget: Optional[Budget] = None) -> dict:
@@ -698,17 +626,18 @@ def run_oracle_battery(budget: Optional[Budget] = None) -> dict:
     for item in oracle.BATTERY:
         kind, args = item["kind"], item["args"]
         space = preset(item["space"])
-        res = _ORACLE_RES[kind]
+        res, engine, exact_fn = _BATTERY_KINDS[kind]
         eng_budget = budget
         if kind == "delta" and space.dim == 3:
             res = 0.45
             if eng_budget is None or eng_budget.resolution is None:
                 eng_budget = resolve(eng_budget).with_resolution(0.3)
         ob = oracle.grid_bracket(kind, space, res, **args)
-        eb = _engine_bracket(kind, space, args, eng_budget)
+        eb = engine(space, args, eng_budget)
         overlap = ob.overlaps(eb)
         n_overlap += overlap
-        exact = _exact_value(kind, space, args) if kind in _EXACT_KINDS else None
+        exact = (float(exact_fn(space, args)) if exact_fn is not None
+                 and space.kind == "polyhedral" and space.dim == 2 else None)
         rec = {"problem": {"kind": kind, "space": item["space"], "args":
                            {k: (list(v) if isinstance(v, tuple) else v)
                             for k, v in args.items()}},

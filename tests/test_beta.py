@@ -320,10 +320,10 @@ class TestExactPins:
     @pytest.mark.parametrize("name", ["l1-2d", "square-rot", "linf-2d"])
     def test_stops_at_the_first_zero(self, name, monkeypatch):
         # the first edge midpoint is the first zero pin
-        from ballmoduli import oracle
+        from ballmoduli import exactpoly
         calls = []
-        real = oracle.exact_beta_sup
-        monkeypatch.setattr(oracle, "exact_beta_sup",
+        real = exactpoly.beta_sup_exact
+        monkeypatch.setattr(exactpoly, "beta_sup_exact",
                             lambda *a: calls.append(a) or real(*a))
         assert beta._exact_pins(preset(name), 0.55) == 0.0
         assert len(calls) == 2

@@ -11,6 +11,7 @@ from ballmoduli import (Budget, DomainError, Slice, beta_global, beta_point,
                         d_global, d_point, d_star, d_star_global, d_star_zero,
                         d_star_zero_global, f_eps_radius, lp_space,
                         modulus_convexity, s_point, s_star, slice_diameter)
+from ballmoduli.gridutil import lowdisc_sphere
 
 BUDGET = Budget(resolution=0.3)
 
@@ -44,6 +45,12 @@ def test_outside_dimensions_2_and_3_every_modulus_raises(space, modulus):
     e = np.eye(sp.dim)[0]  # a unit vector and a unit functional in all three
     with pytest.raises(DomainError, match="dimension 2 or 3"):
         MODULI[modulus](sp, e, e)
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_lowdisc_sphere_refuses_other_dimensions(dim):
+    with pytest.raises(DomainError, match="dimension 2 or 3"):
+        lowdisc_sphere(lp_space(dim, 3.0), 5)
 
 
 def test_euclidean_beta_in_four_dimensions_uses_the_plane():

@@ -92,6 +92,13 @@ class TestSuiteRuns:
 
 
 class TestReports:
+    def test_config_ends_with_the_resolution_used(self):
+        assert run_suite("delta-q").config["resolution"] == 0.3
+        report = run_suite("ordering", spaces=["l1-2d"],
+                           budget=Budget(resolution=0.1))
+        assert report.config == {"spaces": ["l1-2d"], "resolution": 0.1}
+        assert list(report.config)[-1] == "resolution"
+
     def test_checks_canonically_sorted(self):
         report = run_suite("spaces")
         keys = [(c.name, c.space, json.dumps(c.params, sort_keys=True))

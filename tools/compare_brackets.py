@@ -28,13 +28,16 @@ its method tag, every norm value and every functional coordinate:
 - norm, dual norm and support functional at seeded random points, also on
   the polytopes l1-3d, linf-3d, ``cross:4`` and ``cube:4`` (cross_polytope(4)
   and hypercube(4)) and ``poly3d:S``, the symmetric hull of six seeded
-  Gaussian points in R^3 and their negatives (seed S).
+  Gaussian points in R^3 and their negatives (seed S);
+- every verification suite's ``to_json()`` report at small fixed settings
+  (``VERIFY_RUNS``) and the ``run_oracle_battery()`` output.
 
 ``diff`` prints the number of values compared, the largest absolute
 difference overall, the number of differing values and their largest
 difference per kind of call (the first word of its key) where any differ,
 and the calls whose method tags differ (a call that raised ``BudgetError``
-is tagged so); it exits 1 if the call lists differ.
+is tagged so), then the number of paths at which the suite reports and the
+battery output differ as parsed JSON; it exits 1 if the call lists differ.
 """
 
 from __future__ import annotations
@@ -52,6 +55,19 @@ SPACES_3D = ["l2-3", "l1-3d", "linf-3d"]
 SUPPORT_SPACES = ["l2-2", "l2-3", "lp:1.5-2d", "lp:3-2d", "l1-2d", "linf-2d",
                   "square-rot", "l2sum-4", "lpsum:3:l1-2d+lp:1.5-2d", "l1-3d",
                   "linf-3d", "cross:4", "cube:4", "poly3d:0", "poly3d:1"]
+# suite name -> (run_suite keywords, resolution or None)
+VERIFY_RUNS = {
+    "lemmas": ({"spaces": ["l2-2", "lp:1.5-2d", "l1-2d", "square-rot"], "seed": 3,
+                "instances_per_lemma": 8}, 2e-2),
+    "chain": ({"spaces": ["lp:1.5-2d"]}, 5e-2),
+    "mip-detect": ({}, None),
+    "lpsum": ({"seed": 2, "n_pairs": 60}, 4e-2),
+    "ordering": ({"spaces": ["lp:1.5-2d", "l1-2d"], "seed": 1}, 0.1),
+    "dense-set": ({}, 4e-2),
+    "spaces": ({"seed": 5}, None),
+    "beta-slices": ({"seed": 4}, 4e-2),
+    "delta-q": ({}, None),
+}
 
 
 def _space(bm, name):
@@ -247,8 +263,25 @@ def dump(path: str) -> None:
         pts /= bm.norm(sp, pts)[:, None]
         out[f"support {name}"] = [float(c) for x in pts
                                   for c in _support_array(sp, x)]
+    verify = {}
+    for name, (kw, res) in VERIFY_RUNS.items():
+        budget = bm.Budget(resolution=res) if res is not None else None
+        verify[name] = bm.run_suite(name, budget=budget, **kw).to_json()
+        print("suite", name, flush=True)
+    verify["oracle-battery"] = bm.run_oracle_battery()
     with open(path, "w") as fh:
-        json.dump({"values": out, "methods": methods}, fh, indent=0)
+        json.dump({"values": out, "methods": methods, "verify": verify}, fh, indent=0)
+
+
+def _json_diffs(a, b, path=""):
+    """The paths at which two parsed JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for k in sorted(a.keys() | b.keys())
+                for p in _json_diffs(a.get(k), b.get(k), f"{path}/{k}")]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (u, v) in enumerate(zip(a, b))
+                for p in _json_diffs(u, v, f"{path}/{i}")]
+    return [] if a == b else [path]
 
 
 def diff(path_a: str, path_b: str) -> int:
@@ -280,6 +313,9 @@ def diff(path_a: str, path_b: str) -> int:
     tags = [k for k in a["methods"] if a["methods"][k] != b["methods"].get(k)]
     print(f"{len(a['methods'])} method tags, {len(tags)} differ"
           + (f": {tags}" if tags else ""))
+    paths = _json_diffs(a["verify"], b["verify"])
+    print(f"{len(a['verify']) - 1} suite reports and the battery, {len(paths)} paths differ"
+          + (f": {paths[:20]}" if paths else ""))
     return 0
 
 
