@@ -19,7 +19,7 @@ import numpy as np
 from . import exactpoly
 from .bracket import GRID, Bracket, ModulusCurve
 from .config import Budget, resolve
-from .denting import _PRUNE_STRIDE, _resolution
+from .denting import _resolution
 from .errors import DomainError
 from .gridutil import _covering_runs, sphere_grid
 from .spaces import (SpaceDescriptor, duality_preimage, exact_vertices, lp_space,
@@ -145,6 +145,7 @@ def _beta_sup_grid(space: SpaceDescriptor, W: SpaceDescriptor, fa: np.ndarray,
 
 
 _MARGIN = 1e-12  # pruning margin for products rounded in another shape
+_PRUNE_STRIDE = 8  # stride of the candidate rows and x grids the pruning passes read
 
 
 def _sup_end(space: SpaceDescriptor, W: SpaceDescriptor, fa: np.ndarray,

@@ -170,7 +170,7 @@ def _all_pairs_min(space: SpaceDescriptor, pts: np.ndarray, taus, max_evals: int
 
 def _kernel_mins(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray,
                  t: float, res: float, max_evals: int,
-                 r_tight: Optional[float] = None, stride: int = 1):
+                 r_tight: Optional[float] = None, ring_only: bool = False):
     """Certified minima of ||x+y|| - 1 over y in ker f with ||y|| >= r, one per
     row of xs and F (both (n, dim)), returned as (lower, upper) arrays.
 
@@ -192,17 +192,19 @@ def _kernel_mins(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray,
     ||y|| >= r_tight truncated at 2 + t/4: grid points with
     r_tight <= ||y|| <= 2 + t/4 and the ring at radius min(r_tight, 2 + t/4).
 
-    Rows are scanned in chunks of at most min(256 n_c, max_evals) grid
-    points (256 functionals in the plane) to bound peak memory; a
-    ``BudgetError`` is raised only when one row's grid exceeds max_evals.
-    Each chunk is scanned in its own call, so its (chunk, grid, dim) arrays
-    are freed before the next chunk is built; holding them across the loop
-    would put two full chunks in memory at once.
+    With ``ring_only`` the grid is empty (the grid minima start at inf), so
+    no grid point is evaluated, and in 3-D only every 8th ring angle is:
+    each minimum is then taken over a subset of the points the full one
+    ranges over (same slack), so it is at least the full minimum, which is
+    what ``_d_point_bounds`` prunes with.
 
-    With ``stride`` > 1 only every stride-th grid point is scanned; the
-    step, slack, ring, chunks and budget test stay those of the full grid,
-    so each returned minimum is at least the full scan's (a minimum over a
-    subset), which is what ``_d_point_bounds`` prunes with.
+    Rows are scanned in chunks of at most min(256 n_c, max_evals) grid
+    points (256 functionals in the plane), or ring points with
+    ``ring_only``, to bound peak memory; a ``BudgetError`` is raised only
+    when one row's full grid exceeds max_evals, also with ``ring_only``.
+    Each chunk is scanned in its own call, so its (chunk, grid, dim)
+    arrays are freed before the next chunk is built; holding them across
+    the loop would put two full chunks in memory at once.
     """
     eq = sharp_equiv_constants(space)
     r0, hi = t / 4.0, 2.0 + t / 4.0
@@ -218,9 +220,9 @@ def _kernel_mins(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray,
         bases = np.array([kernel_frame(space, f) for f in F]).reshape(-1, 2, 3)
         grid = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
         th = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-        ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        ring = np.stack([np.cos(th), np.sin(th)], axis=-1)[::8 if ring_only else 1]
     slack = eq.C * (c[1] - c[0]) * math.sqrt(grid.shape[1]) / 2.0
-    n_grid, grid = len(grid), grid[::stride]
+    n_grid, grid = len(grid), grid[:0] if ring_only else grid
 
     def scan(B: np.ndarray, x: np.ndarray):
         Y = grid @ B
@@ -234,21 +236,20 @@ def _kernel_mins(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray,
             return np.min(_norm_array(space, x + Yb), axis=1) - 1.0
 
         relax = np.where((w >= r0 - slack) & (w <= hi + slack), vals, np.inf)
-        lo = np.minimum(np.min(relax, axis=1), ring_min(r0)) - slack
+        lo = np.minimum(np.min(relax, axis=1, initial=np.inf), ring_min(r0)) - slack
         if r_tight is None:
             return lo, None
         tight = np.where((w >= r_tight) & (w <= hi), vals, np.inf)
-        return lo, np.minimum(np.min(tight, axis=1), ring_min(min(r_tight, hi)))
+        return lo, np.minimum(np.min(tight, axis=1, initial=np.inf),
+                              ring_min(min(r_tight, hi)))
 
-    chunk = max(1, min(256 * n_c, max_evals) // n_grid)
+    chunk = max(1, min(256 * n_c, max_evals) // (len(ring) if ring_only else n_grid))
     lower = np.empty(len(F))
     upper = np.empty(len(F)) if r_tight is not None else None
+    if len(F) and n_grid > max_evals:
+        raise BudgetError(f"kernel scan of {n_grid} evaluations exceeds the budget")
     for i in range(0, len(F), chunk):
-        B = bases[i:i + chunk]
-        if len(B) * n_grid > max_evals:
-            raise BudgetError(
-                f"kernel scan of {len(B) * n_grid} evaluations exceeds the budget")
-        lo, up = scan(B, xs[i:i + chunk, None, :])
+        lo, up = scan(bases[i:i + chunk], xs[i:i + chunk, None, :])
         lower[i:i + chunk] = lo
         if upper is not None:
             upper[i:i + chunk] = up
@@ -291,9 +292,6 @@ def d_point(space: SpaceDescriptor, x, t: float,
                    resolution=res_f, lipschitz=2.0 + t / 4.0)
 
 
-_PRUNE_STRIDE = 8  # grid stride of the pruning pass of _d_point_bounds
-
-
 def _d_point_bounds(space: SpaceDescriptor, X: np.ndarray, F: np.ndarray,
                     t: float, res_i: float, max_evals: int,
                     covering: Optional[float] = None):
@@ -310,18 +308,17 @@ def _d_point_bounds(space: SpaceDescriptor, X: np.ndarray, F: np.ndarray,
     feasible, so s(x, f, t) <= tight-min(f0) + h R.
 
     Both ends are maxima over rows (x, f) of ``_kernel_mins`` minima, and
-    most rows cannot raise the maximum, so the full kernel grid is scanned
-    only where one can.  A first pass takes every row's minima on every
-    ``_PRUNE_STRIDE``-th grid point (same step, slack and ring): a minimum
-    over a subset, so at least the row's full minimum.  For each x the
-    full scan then runs on the incumbents, the norming row and the rows
-    with the largest first-pass lower and upper minima, and after them on
-    the rows whose first-pass lower or upper minimum exceeds the
-    incumbents' best full one.  Any other row has full minima at most its
-    first-pass ones, hence at most the incumbents' best, so the maxima over
-    the rows scanned in full are the maxima over all rows, bit for bit.
-    With one row per x (F empty) every row is an incumbent and the first
-    pass is skipped.
+    most rows cannot raise the maximum, so the kernel grid is scanned only
+    where one can.  A first pass takes every row's minima on the
+    exactly-feasible ring alone (``ring_only``): a minimum over a subset,
+    so at least the row's full minimum.  For each x the full scan then
+    runs on the incumbents, the norming row and the rows with the largest
+    first-pass lower and upper minima, and after them on the rows whose
+    first-pass lower or upper minimum exceeds the incumbents' best full
+    one.  Any other row has full minima at most its first-pass ones, hence
+    at most the incumbents' best, so the maxima over the rows scanned in
+    full are the maxima over all rows, bit for bit.  With one row per x
+    (F empty) every row is an incumbent and the first pass is skipped.
     """
     n, m = len(X), len(F) + 1
     norming = _support_array(space, X / _norm_array(space, X)[:, None])
@@ -331,17 +328,17 @@ def _d_point_bounds(space: SpaceDescriptor, X: np.ndarray, F: np.ndarray,
     R_t = 2.0 + t / 4.0
     r_tight = None if covering is None else t / 4.0 + covering * R_t
 
-    def scan(idx, stride: int = 1) -> np.ndarray:
+    def scan(idx, ring_only: bool = False) -> np.ndarray:
         """(lower, upper) minima of the rows idx, one row of the result
         each; the upper row repeats the lower one when there is no upper."""
         lo, up = _kernel_mins(space, xs[idx], rows[idx], t, res_i, max_evals,
-                              r_tight=r_tight, stride=stride)
+                              r_tight=r_tight, ring_only=ring_only)
         return np.stack([lo, lo if up is None else up])
 
     if m == 1:
         ends = scan(slice(None))
     else:
-        rough = scan(slice(None), _PRUNE_STRIDE).reshape(2, n, m)
+        rough = scan(slice(None), ring_only=True).reshape(2, n, m)
         base = np.arange(n)[:, None] * m
         # the norming rows and the first-pass leaders, as a sorted index set
         lead = np.zeros(n * m, dtype=bool)

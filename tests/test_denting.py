@@ -170,7 +170,17 @@ PRUNE_SPACES = {
     "l1-2d": (lambda: preset("l1-2d"), 2e-2),
     "polygon": (lambda: _seeded_polygon(7), 2e-2),
     "l2-3": (lambda: preset("l2-3"), 0.3),
+    "l1-3d": (lambda: preset("l1-3d"), 0.3),
+    "lp:1.5-3d": (lambda: preset("lp:1.5-3d"), 0.3),
 }
+
+
+def _prune_case(name):
+    """(space, res, base points, dual grid) of a ``PRUNE_SPACES`` case."""
+    make, res = PRUNE_SPACES[name]
+    space = make()
+    X = np.vstack([sphere_grid(space, 0.4).points[:4], lowdisc_sphere(space, 3)])
+    return space, res, X, sphere_grid(polar_space(space), 2 * res)
 
 
 class TestPrunedBounds:
@@ -181,11 +191,7 @@ class TestPrunedBounds:
     # at t = 1.8 rows other than the incumbents raise the max
     @pytest.mark.parametrize("t", [0.3, 1.8])
     def test_equals_unpruned_scan(self, name, t):
-        make, res = PRUNE_SPACES[name]
-        space = make()
-        X = np.vstack([sphere_grid(space, 0.4).points[:4],
-                       lowdisc_sphere(space, 3)])
-        dual = sphere_grid(polar_space(space), 2 * res)
+        space, res, X, dual = _prune_case(name)
         cases = [(dual.points, dual.covering), (dual.points, None),
                  (lowdisc_sphere(polar_space(space), 16), None),
                  (np.empty((0, space.dim)), None)]
@@ -199,6 +205,37 @@ class TestPrunedBounds:
                     assert got[1] is None and want[1] is None
                 else:
                     assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("name", ["l1-2d", "polygon", "l2-3", "l1-3d"])
+    def test_ring_pass_bounds_the_full_minima(self, name):
+        # the first pass reads a subset of each row's points, so neither
+        # of its minima falls below the full scan's
+        space, res, X, dual = _prune_case(name)
+        F = np.vstack([dual.points, _support_array(space, X)])
+        xs = np.repeat(X, len(F), axis=0)
+        rows = np.tile(F, (len(X), 1))
+        for t in (0.3, 1.8):
+            r_tight = t / 4.0 + dual.covering * (2.0 + t / 4.0)
+            full = denting._kernel_mins(space, xs, rows, t, res, 10 ** 9,
+                                        r_tight=r_tight)
+            ring = denting._kernel_mins(space, xs, rows, t, res, 10 ** 9,
+                                        r_tight=r_tight, ring_only=True)
+            assert np.all(ring[0] >= full[0]) and np.all(ring[1] >= full[1])
+
+    @pytest.mark.parametrize("name", ["l1-2d", "l2-3"])
+    def test_rows_after_the_incumbents_are_scanned(self, name, monkeypatch):
+        # at t = 1.8 some rows beat the incumbents' best full value, so the
+        # pruning's second stage runs on a non-empty set of rows
+        space, res, X, dual = _prune_case(name)
+        sizes, kernel_mins = [], denting._kernel_mins
+
+        def spy(space, xs, F, *args, **kw):
+            sizes.append(len(F))
+            return kernel_mins(space, xs, F, *args, **kw)
+        monkeypatch.setattr(denting, "_kernel_mins", spy)
+        denting._d_point_bounds(space, X, dual.points, 1.8, res, 10 ** 9,
+                                covering=dual.covering)
+        assert len(sizes) == 3 and sizes[2] > 0
 
     def test_budget_error_at_the_unpruned_threshold(self):
         # a row's kernel grid has n_c points in the plane; max_evals below

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from ballmoduli import (Bracket, Budget, DomainError, list_suites, run_suite)
+from ballmoduli import verify
 from ballmoduli.verify import FAIL, INCONCLUSIVE, PASS, compare
 
 
@@ -73,11 +75,26 @@ class TestSuiteRuns:
 
     def test_lpsum_suite_small(self):
         report = run_suite("lpsum", n_pairs=100)
-        assert report.ok
+        assert report.ok and report.config["space"] == "l2sum-4"
         rows = report.flags["rows"]
         assert {r["t"] for r in rows} == {0.4, 0.8}
         for row in rows:
             assert row["beta_sum_lower"] >= row["bound"]
+
+    def test_lpsum_refuses_a_non_euclidean_sum_up_front(self, monkeypatch):
+        # the sum's beta curve has no certified search above dimension 3,
+        # so the suite stops before computing the component curves
+        dims, beta_global = [], verify.beta_global
+
+        def spy(space, *args, **kw):
+            dims.append(space.dim)
+            return beta_global(space, *args, **kw)
+        monkeypatch.setattr(verify, "beta_global", spy)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="dimension 2 or 3, got 4"):
+            run_suite("lpsum", spaces=["lpsum:3:lp:1.5-2d+l2-2"],
+                      budget=Budget(resolution=4e-2))
+        assert time.perf_counter() - start < 1.0 and dims == [4]
 
     def test_mini_lemma_battery(self):
         report = run_suite("lemmas", spaces=["l2-2", "linf-2d"],

@@ -6,8 +6,9 @@
 ``dump`` evaluates a fixed list of calls and writes every bracket end with
 its method tag, every norm value and every functional coordinate:
 
-- d at a coarse and at the default budget, d_global, d*, d*-global, d*0 and
-  d*0-global at coarse budgets on 2-D and 3-D presets, d*0 also at
+- d at a coarse and at the default budget, d_global and d* at coarse
+  budgets on 2-D and 3-D presets (the 3-D ones at the 0.3 cover budget),
+  and d*-global, d*0 and d*0-global on the 2-D ones, d*0 also at
   t = 0.01, where its interior sample is mostly empty;
 - primal and dual slice diameters, s and s* at norming and at generic
   pairs, beta and beta-sup at the default budget, and the oracle's
@@ -113,9 +114,9 @@ def _d_family(bm):
             yield f"d_point {name} {t} coarse", lambda: bm.d_point(sp, x, t, grid)
             yield f"d_point {name} {t} default", lambda: bm.d_point(sp, x, t)
             yield f"d_global {name} {t}", lambda: bm.d_global(sp, t, grid)
+            yield f"d_star {name} {t}", lambda: bm.d_star(sp, f, t, grid)
             if three:
                 continue
-            yield f"d_star {name} {t}", lambda: bm.d_star(sp, f, t, coarse)
             yield f"d_star_global {name} {t}", lambda: bm.d_star_global(sp, t, coarse)
             yield f"d_star_zero {name} {t}", lambda: bm.d_star_zero(sp, f, t, cover)
         if not three:
