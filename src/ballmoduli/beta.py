@@ -152,29 +152,30 @@ def _sup_end(space: SpaceDescriptor, W: SpaceDescriptor, fa: np.ndarray,
              p: np.ndarray, t: float, budget: Budget, masks, n_feas: int,
              lower: bool) -> float:
     """beta_sup(space, f, t, budget)'s lower (``lower``) or upper end, from
-    f's (sphere, cut) masks over the candidate grid of W (the relaxed masks
-    of ``_surface_masks`` for the lower end, the feasible ones for the
+    f's (sphere, cut) masks over the candidate grid S of W (the relaxed
+    masks of ``_surface_masks`` for the lower end, the feasible ones for the
     upper), its number ``n_feas`` of feasible candidate rows (the -f row
     included) and its duality preimage p.
 
     Each end is a maximum over x of a per-x value, 1 - max g.x over the
     candidate rows g (the feasible ones for the upper end, the relaxed ones
-    less the slack for the lower end), computed in blocks of x, and most
-    blocks cannot raise it.  A first pass takes the max of g.x over every
-    ``_PRUNE_STRIDE``-th candidate row only: a max over fewer rows, so the
-    per-x value it gives is at least the full one.  The full scan then runs
-    block by block in decreasing order of that bound, starting with the
-    incumbent (largest bound), and stops at the first block whose bound is
-    at least ``_MARGIN`` below the best full value so far; every later block
-    is bounded below it as well and cannot raise the max.  The lower end is
-    clamped at 0, so its best starts at 0: a block bounded below 0 cannot
-    move it.  Both ends use the blocks of 2.5e5 // n_feas points of x, and
-    a scanned block's products are ``rows @ blk.T`` with the rows in the
-    order sphere, cut, -f, so the maxima are those of the unpruned scan
-    bit for bit.  A matrix product's rounding depends on its shape, so the
-    first pass's products may differ from those in the last bits; the
-    margin exceeds such differences for vectors of moderate coordinates by
-    orders of magnitude.
+    less the slack for the lower end), computed in blocks of 2.5e5 // n_feas
+    points of x, and most blocks cannot raise it.  When there is more than
+    one block, a first pass bounds each x's value from above by a max of
+    g.x over a subset of x's candidate rows, which is at most the full max
+    (``_max_over_blocks`` prunes with it):
+
+    - in the plane (``_peak_tops``), the rows of S at the two grid indices
+      around the angle of x's norming functional and at the ends of the
+      mask's runs, for each mask, and -f.  u.x is unimodal along the convex
+      curve S (it peaks at the norming functional), so on one arc of S its
+      max is at an arc end or next to the peak: where each mask is one run,
+      as the candidate masks are in exact arithmetic (``_sup_floors``), the
+      bound is x's value up to rounding;
+    - in 3-D (``_strided_tops``), every ``_PRUNE_STRIDE``-th candidate row.
+
+    A one-block scan costs about as much as a first pass, so it runs
+    without one.
     """
     res_x, res_g = _sup_resolutions(space, W, budget)
     xgrid = sphere_grid(space, res_x)
@@ -186,27 +187,85 @@ def _sup_end(space: SpaceDescriptor, W: SpaceDescriptor, fa: np.ndarray,
     # blocks of <= 2.5e5 products (2 MB) keep the peak memory low
     chunk = max(1, 250_000 // n_feas)
     starts = np.arange(0, len(X), chunk)
+    if len(starts) == 1:
+        top = None
+    elif space.dim == 2:
+        top = _peak_tops(S, masks, fa, t, X, _support_array(space, X))
+    else:
+        top = _strided_tops(rows, X)
     if lower:
-        return _max_over_blocks(rows, X, starts, chunk, max(h, t * h), 0.0)
-    return _max_over_blocks(rows, X, starts, chunk, 0.0, -math.inf) + xgrid.covering
+        return _max_over_blocks(rows, X, starts, chunk, top, max(h, t * h), 0.0)
+    return _max_over_blocks(rows, X, starts, chunk, top, 0.0, -math.inf) + xgrid.covering
+
+
+def _peak_tops(S: np.ndarray, masks, fa: np.ndarray, t: float, X: np.ndarray,
+               G: np.ndarray) -> np.ndarray:
+    """For each row x of X, with norming functional the row of G, the max of
+    g.x over -f and, for each of the (sphere, cut) masks over the 2-D
+    sphere grid S, the rows of S at the ends of the mask's cyclic runs and
+    at the indices i, i + 1 (mod n) in the mask, where
+    i = floor(n angle(G[x]) / 2 pi) mod n; a cut row f + t u is taken as
+    f.x + t (u.x).  S[i] and S[i + 1] flank the norming functional (S[j]
+    lies at angle 2 pi j / n, ``sphere_grid``), which is where u.x peaks on
+    S.  A floor, not a cast to int: truncation moves i for every negative
+    angle."""
+    n = len(S)
+    i = np.floor(np.arctan2(G[:, 1], G[:, 0]) * (n / (2.0 * math.pi))).astype(np.int64) % n
+    peak = np.stack([i, (i + 1) % n])
+    at_peak = np.einsum("kxd,xd->kx", S[peak], X)
+    fx = X @ fa
+    top = -fx
+    for mask, shift, scale in ((masks[0], 0.0, 1.0), (masks[1], fx, t)):
+        ends = np.flatnonzero(mask & ~(np.roll(mask, 1) & np.roll(mask, -1)))
+        u = np.where(mask[peak], at_peak, -np.inf).max(axis=0)
+        if len(ends):
+            u = np.maximum(u, (X @ S[ends].T).max(axis=1))
+        top = np.maximum(top, shift + scale * u)
+    return top
+
+
+def _strided_tops(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """For each row x of X, the max of g.x over every ``_PRUNE_STRIDE``-th
+    row g of rows, in blocks of about 2.5e5 products."""
+    sub = rows[::_PRUNE_STRIDE]
+    step = max(1, 250_000 // len(sub))
+    return np.concatenate([np.max(sub @ X[i:i + step].T, axis=0)
+                           for i in range(0, len(X), step)])
 
 
 def _max_over_blocks(rows: np.ndarray, X: np.ndarray, starts: np.ndarray,
-                     chunk: int, slack: float, best: float) -> float:
+                     chunk: int, top: Optional[np.ndarray], slack: float,
+                     best: float) -> float:
     """max(best, max over the rows x of X of 1 - max(rows @ x) - slack),
     scanning in full only the blocks X[i:i + chunk] (i in starts) that can
-    raise it (``_sup_end`` has the proof)."""
-    sub = rows[::_PRUNE_STRIDE]
-    step = max(1, 250_000 // len(sub))
-    top = np.concatenate([np.max(sub @ X[i:i + step].T, axis=0)
-                          for i in range(0, len(X), step)])
-    bound = np.maximum.reduceat(1.0 - top - slack, starts)
+    raise it.
+
+    ``top`` is None, and every block is scanned, or holds for each x a max
+    of g.x over a subset of the rows (``_sup_end``), so that
+    1 - top - slack is at least x's value.  The blocks are scanned in decreasing order
+    of their largest such bound, and the scan stops at the first block
+    whose bound is at least ``_MARGIN`` below the best full value so far:
+    every later block is bounded below it as well and cannot raise the max.
+    The lower end starts at best = 0, its clamp, so a block bounded below 0
+    cannot move it.  A scanned block's products are ``rows @ blk.T``, with
+    the rows in the order sphere, cut, -f and the block's shape fixed by
+    ``starts``, so the max is the unpruned one bit for bit.  The bounds'
+    products have other shapes (and a cut row's g.x is summed as
+    f.x + t u.x), so they may differ from those in the last bits; the
+    margin exceeds such differences for vectors of moderate coordinates by
+    orders of magnitude."""
+    bound = (np.full(len(starts), np.inf) if top is None
+             else np.maximum.reduceat(1.0 - top - slack, starts))
     for b in np.argsort(-bound, kind="stable"):
         if bound[b] <= best - _MARGIN:
             break
-        blk = X[starts[b]:starts[b] + chunk]
-        best = max(best, float(np.max(1.0 - np.max(rows @ blk.T, axis=0) - slack)))
+        best = max(best, _block_max(rows, X[starts[b]:starts[b] + chunk], slack))
     return best
+
+
+def _block_max(rows: np.ndarray, blk: np.ndarray, slack: float) -> float:
+    """The max over the rows x of blk of 1 - max(rows @ x) - slack."""
+    return float(np.max(1.0 - np.max(rows @ blk.T, axis=0) - slack))
 
 
 def _beta_sup_euclidean(t: float, budget: Budget) -> Bracket:

@@ -18,7 +18,7 @@ from .bracket import GRID, Bracket
 from .config import Budget, resolve
 from .errors import BudgetError, DomainError
 from .gridutil import lowdisc_sphere, sharp_equiv_constants, sphere_grid
-from .spaces import (SpaceDescriptor, kernel_frame, polar_space, _norm_array,
+from .spaces import (SpaceDescriptor, polar_space, _kernel_frames, _norm_array,
                      _support_array, _unit_coords)
 
 
@@ -217,7 +217,7 @@ def _kernel_mins(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray,
         grid = c[:, None]
         ring = np.array([[1.0], [-1.0]])
     else:
-        bases = np.array([kernel_frame(space, f) for f in F]).reshape(-1, 2, 3)
+        bases = _kernel_frames(F)
         grid = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
         th = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
         ring = np.stack([np.cos(th), np.sin(th)], axis=-1)[::8 if ring_only else 1]

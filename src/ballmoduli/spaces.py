@@ -429,10 +429,18 @@ def kernel_frame(space: SpaceDescriptor, f) -> np.ndarray:
     """(dim-1, dim) array whose rows span ker f, Euclid-orthonormal (K K^T = I,
     K f = 0): the last dim-1 right singular vectors of the row f/|f|_2."""
     a = _coords(f, space, "dual")
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
+    if float(np.linalg.norm(a)) == 0.0:
         raise DomainError("kernel_frame requires a nonzero functional")
-    return np.linalg.svd(a[None, :] / scale)[2][1:]
+    return _kernel_frames(a[None, :])[0]
+
+
+def _kernel_frames(F: np.ndarray) -> np.ndarray:
+    """``kernel_frame`` of each row of an (n, dim) array of nonzero rows,
+    unvalidated, as an (n, dim-1, dim) array, from one batched SVD.  Each
+    row is scaled by its own ``np.linalg.norm``: the norm over axis 1 rounds
+    differently in the last bits, and so would the frames."""
+    scale = np.array([np.linalg.norm(a) for a in F])
+    return np.linalg.svd((F / scale[:, None])[:, None, :])[2][:, 1:]
 
 
 # -- exact rational views (consumed by the oracle) -------------------------

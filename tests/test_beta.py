@@ -241,6 +241,106 @@ class TestPrunedScans:
         assert len(calls) == 1 and calls[0] < 0.5
 
 
+def _end_rows(space, f, t, budget, lower):
+    """(S, masks, rows, X) of one ``_sup_end`` scan of beta_sup."""
+    W = polar_space(space)
+    res_x, res_g = beta._sup_resolutions(space, W, budget)
+    xgrid, ggrid = sphere_grid(space, res_x), sphere_grid(W, res_g)
+    S = ggrid.points
+    _, feasible, relaxed = beta._surface_masks(W, f, S, t, ggrid.covering)
+    masks = relaxed if lower else feasible
+    rows = np.vstack([S[masks[0]], f + t * S[masks[1]], [-f]])
+    X = np.vstack([xgrid.points, duality_preimage(space, f).array[None, :]])
+    return S, masks, rows, X
+
+
+def _full_tops(rows, X):
+    """max(rows @ x) for each row x of X, in blocks."""
+    return np.concatenate([np.max(rows @ X[i:i + 500].T, axis=0)
+                           for i in range(0, len(X), 500)])
+
+
+def _test_functionals(space):
+    """A dual vertex (a facet row) of a polygon, the dual-unit functional
+    along the first axis otherwise, and one in the lower half-plane."""
+    W = polar_space(space)
+    first = space.facets[0] if space.kind == "polyhedral" else np.array([1.0, 0.0])
+    return [v / float(_norm_array(W, v)) for v in (first, np.array([0.4, -1.0]))]
+
+
+class TestPeakTops:
+    """In the plane beta_sup's first pass reads each x's candidate rows next
+    to its peak and at the ends of the masks' runs: never above the full
+    max of g.x, and equal to it wherever both masks are single runs."""
+
+    @pytest.mark.parametrize("name", sorted(n for n in EXACT_SPACES
+                                            if EXACT_SPACES[n][0]().dim == 2))
+    @pytest.mark.parametrize("t", [0.3, 0.7])
+    def test_bound_against_full_max(self, name, t):
+        make, res = EXACT_SPACES[name]
+        space, budget = make(), Budget(resolution=res / 4.0)
+        singles = 0
+        for f in _test_functionals(space):
+            for lower in (True, False):
+                S, masks, rows, X = _end_rows(space, f, t, budget, lower)
+                top = beta._peak_tops(S, masks, f, t, X, _support_array(space, X))
+                full = _full_tops(rows, X)
+                assert np.all(top <= full + 1e-12)
+                if all(_covering_runs(m[None, :])[1][0] == np.count_nonzero(m)
+                       for m in masks):
+                    singles += 1
+                    assert np.all(top >= full - 1e-12)
+        assert singles > 0
+
+    @pytest.mark.parametrize("name", ["lp:1.5-2d", "l1-2d", "polygon"])
+    def test_split_mask_still_bounds(self, name):
+        make, res = EXACT_SPACES[name]
+        space, budget = make(), Budget(resolution=res / 4.0)
+        f = _test_functionals(space)[1]
+        S, (sph, cut), _, X = _end_rows(space, f, 0.5, budget, lower=False)
+        n = len(S)
+        # cut a gap out of the middle of the sphere arc, and keep two
+        # quarter-turn arcs of the cut
+        split = sph.copy()
+        on = np.flatnonzero(sph)
+        split[on[len(on) // 3:2 * len(on) // 3]] = False
+        halves = np.zeros(n, dtype=bool)
+        halves[:n // 4] = halves[n // 2:3 * n // 4] = True
+        for masks in ((split, cut), (sph, halves), (split, halves)):
+            assert any(_covering_runs(m[None, :])[1][0] > np.count_nonzero(m)
+                       for m in masks)
+            rows = np.vstack([S[masks[0]], f + 0.5 * S[masks[1]], [-f]])
+            top = beta._peak_tops(S, masks, f, 0.5, X, _support_array(space, X))
+            assert np.all(top <= _full_tops(rows, X) + 1e-12)
+
+    def test_fine_flat_face_scans_few_blocks(self, monkeypatch):
+        # on the flat face of l1-2d beta(f, t) = 0, the lower end's clamp,
+        # so only a bound near each x's own value rules blocks out
+        space, budget = preset("l1-2d"), Budget(resolution=5e-3)
+        scans, blocks = [], []
+        real_scan, real_blocks = beta._block_max, beta._max_over_blocks
+        monkeypatch.setattr(beta, "_block_max",
+                            lambda *a: scans.append(1) or real_scan(*a))
+        monkeypatch.setattr(beta, "_max_over_blocks",
+                            lambda *a: blocks.append(len(a[2])) or real_blocks(*a))
+        got = beta_sup(space, (1.0, 0.0), 0.3, budget)
+        assert (got.lower, got.upper) == _unpruned_beta_sup(space, (1.0, 0.0), 0.3, budget)
+        assert sum(blocks) > 20 and len(scans) <= 4
+
+    def test_one_block_has_no_first_pass(self, monkeypatch):
+        space, budget = preset("lp:1.5-2d"), Budget(resolution=4e-2)
+        passes, blocks = [], []
+        for fn in ("_peak_tops", "_strided_tops"):
+            monkeypatch.setattr(beta, fn, lambda *a: passes.append(a))
+        real_blocks = beta._max_over_blocks
+        monkeypatch.setattr(beta, "_max_over_blocks",
+                            lambda *a: blocks.append(len(a[2])) or real_blocks(*a))
+        f = _test_functionals(space)[1]
+        got = beta_sup(space, f, 0.3, budget)
+        assert (got.lower, got.upper) == _unpruned_beta_sup(space, f, 0.3, budget)
+        assert blocks == [1, 1] and passes == []
+
+
 def _dense_floors(space, W, F, t, budget, lower):
     """beta_global's first-pass floors with every masked max taken directly,
     on an (f, x, rows) tensor over the strided x grid plus each preimage."""

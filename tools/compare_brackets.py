@@ -16,7 +16,10 @@ its method tag, every norm value and every functional coordinate:
 - beta-global at t = 0.3 and 0.7, at resolution 4e-2 on lp:1.5, lp:3 and
   the weighted lp:3 plane and at 0.2 on l1-2d and square-rot, and beta-sup
   at 5e-3 on the three polygon presets, with f at a vertex and at an edge
-  midpoint of the dual ball;
+  midpoint of the dual ball, and on lp:1.5, the weighted lp:3 plane and
+  ``poly2d:6`` and ``poly2d:8`` (the first seeded rational polygons of 6
+  and 8 vertices that the sign tests' generator draws from seed 0), with f
+  in the lower half-plane;
 - primal and dual slice diameters at resolutions 5e-3 and 1.5e-3 and
   thresholds 0.002, 0.3, 0.6 and 0.999 on the six 2-D presets, and the
   modulus of convexity at t = 0.3, 1, 1.7 and 2 and resolutions 2e-2 and
@@ -80,6 +83,13 @@ def _space(bm, name):
         return bm.cross_polytope(int(arg))
     if kind == "cube":
         return bm.hypercube(int(arg))
+    if kind == "poly2d":
+        rng = np.random.default_rng(0)
+        while True:
+            poly = _rational_polygon(rng)
+            if poly is not None and len(poly.vertices) == int(arg):
+                return bm.polyhedral_space([tuple(float(c) for c in v)
+                                            for v in poly.vertices])
     if kind == "poly3d":
         half = np.random.default_rng(int(arg)).standard_normal((6, 3))
         return bm.polyhedral_space(np.vstack([half, -half]).tolist())
@@ -166,6 +176,11 @@ def _beta_scans(bm):
             f = _unit(bm, sp, v, dual=True)
             for t in (0.3, 0.7):
                 yield f"beta_sup {name} {t} {where} 5e-3", lambda: bm.beta_sup(sp, f, t, fine)
+    for name in ("lp:1.5-2d", "weighted:3:1,2", "poly2d:6", "poly2d:8"):
+        sp = _space(bm, name)
+        f = _unit(bm, sp, [0.4, -1.0], dual=True)
+        for t in (0.3, 0.7):
+            yield f"beta_sup {name} {t} lower 5e-3", lambda: bm.beta_sup(sp, f, t, fine)
 
 
 def _pair_scans(bm):
