@@ -310,11 +310,19 @@ def norm(space: SpaceDescriptor, x) -> np.ndarray | float:
 
 
 def _norm_array(space: SpaceDescriptor, a: np.ndarray):
+    """Norm of each row of a (..., dim) array: a float for one vector.
+
+    The lp, weighted-lp and lp-sum norms are (sum_j w_j |a_j|^p)^(1/p),
+    with the sum taken over the coordinate columns (for lp-sum, the
+    component norms) left to right, as numpy's last-axis sum does below 8
+    terms.  So for up to 7 columns every value equals that of
+    ``np.sum(w * np.abs(a) ** p, axis=-1) ** (1/p)`` bit for bit; at 8
+    columns numpy's sum is pairwise and the two may differ by 2 ulp.
+    """
     if space.kind == "lp":
-        return np.sum(np.abs(a) ** space.p, axis=-1) ** (1.0 / space.p)
+        return _lp_columns(np.abs(a, dtype=float), space.p)
     if space.kind == "weighted-lp":
-        w = np.asarray(space.weights)
-        return np.sum(w * np.abs(a) ** space.p, axis=-1) ** (1.0 / space.p)
+        return _lp_columns(np.abs(a, dtype=float), space.p, np.asarray(space.weights))
     if space.kind == "polyhedral":
         # facet-major: numpy reduces a long leading axis far faster than the
         # short facet axis of a @ facets.T, to the same values
@@ -323,8 +331,26 @@ def _norm_array(space: SpaceDescriptor, a: np.ndarray):
     if space.kind == "lp-sum":
         parts = [_norm_array(c, a[..., s])
                  for c, s in zip(space.components, space.block_slices)]
-        return np.sum(np.stack(parts, axis=-1) ** space.p, axis=-1) ** (1.0 / space.p)
+        return _lp_columns(np.stack(parts, axis=-1), space.p)
     raise DescriptorError(space.kind)
+
+
+def _lp_columns(b: np.ndarray, p: float, w: Optional[np.ndarray] = None):
+    """(sum_j w_j b_j^p)^(1/p) over the last axis of a fresh nonnegative
+    array b, which it overwrites.  The columns are added one at a time into
+    one output, because numpy reduces a short last axis one row at a time.
+    A single vector's root is numpy's scalar power, as ``np.sum`` would give;
+    a 0-d array's power can differ from it in the last bit."""
+    b **= p
+    if w is not None:
+        b *= w
+    s = b[..., 0] + b[..., 1] if b.shape[-1] > 1 else b[..., 0].copy()
+    for j in range(2, b.shape[-1]):
+        s += b[..., j]
+    if s.ndim == 0:
+        return s[()] ** (1.0 / p)
+    s **= 1.0 / p
+    return s
 
 
 def dual_norm(space: SpaceDescriptor, f) -> np.ndarray | float:
@@ -437,9 +463,11 @@ def kernel_frame(space: SpaceDescriptor, f) -> np.ndarray:
 def _kernel_frames(F: np.ndarray) -> np.ndarray:
     """``kernel_frame`` of each row of an (n, dim) array of nonzero rows,
     unvalidated, as an (n, dim-1, dim) array, from one batched SVD.  Each
-    row is scaled by its own ``np.linalg.norm``: the norm over axis 1 rounds
-    differently in the last bits, and so would the frames."""
-    scale = np.array([np.linalg.norm(a) for a in F])
+    row is scaled by the root of its own dot product, one batched matmul of
+    (1, dim) by (dim, 1) stacks: that is ``np.linalg.norm`` of the row bit
+    for bit, where the norm over axis 1 (and ``einsum``) rounds differently
+    in the last bits, and so would the frames."""
+    scale = np.sqrt((F[:, None, :] @ F[:, :, None])[:, 0, 0])
     return np.linalg.svd((F / scale[:, None])[:, None, :])[2][:, 1:]
 
 

@@ -20,7 +20,28 @@ from ballmoduli import (BudgetError, DescriptorError, DimensionMismatchError, Do
                         witness_functional)
 from ballmoduli.gridutil import (_covering_runs, _icosphere, lowdisc_sphere,
                                 sharp_equiv_constants, sphere_grid)
-from ballmoduli.spaces import _norm_array, _support_array, exact_vertices, kernel_frame
+from ballmoduli.spaces import (_kernel_frames, _norm_array, _support_array, exact_vertices,
+                               kernel_frame)
+
+
+def _plain_norm(space, a):
+    """The norm as one numpy expression per kind: a sum over the last axis."""
+    if space.kind == "polyhedral":
+        return np.max(a @ space.facets.T, axis=-1)
+    if space.kind == "lp-sum":
+        parts = [_plain_norm(c, a[..., s]) for c, s in zip(space.components, space.block_slices)]
+        return np.sum(np.stack(parts, axis=-1) ** space.p, axis=-1) ** (1.0 / space.p)
+    w = np.asarray(space.weights) if space.kind == "weighted-lp" else 1.0
+    return np.sum(w * np.abs(a) ** space.p, axis=-1) ** (1.0 / space.p)
+
+
+def _lp_family(kind, d, p):
+    if kind == "lp":
+        return lp_space(d, p)
+    if kind == "weighted-lp":
+        return weighted_lp_space(p, np.linspace(0.5, 3.0, d))
+    k = 1 if d < 4 else 2  # an lp component beside a polyhedral one
+    return make_lp_sum([lp_space(d - k, 1.5), cross_polytope(k)], p)
 
 
 class TestNorms:
@@ -75,6 +96,42 @@ class TestNorms:
             got = _norm_array(space, a)
             assert np.shape(got) == np.shape(want)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["lp", "weighted-lp", "lp-sum"])
+    def test_lp_norms_are_the_plain_sum_bit_for_bit(self, kind, rng):
+        # the columns are added left to right, as numpy's last-axis sum does
+        # below 8 terms, and a single vector keeps numpy's scalar root
+        for d, p in product(range(1 if kind != "lp-sum" else 2, 8),
+                            (1.05, 1.5, 2.0, 3.0, 7.0)):
+            space = _lp_family(kind, d, p)
+            for shape in [(d,), (37, d), (3, 37, d)]:
+                a = rng.normal(size=shape)
+                before = a.copy()
+                got, want = _norm_array(space, a), _plain_norm(space, a)
+                assert type(got) is type(want)
+                assert np.array_equal(got, want)
+                assert np.array_equal(a, before)
+            assert type(_norm_array(space, rng.normal(size=d))) is np.float64
+
+    @pytest.mark.parametrize("kind", ["lp", "weighted-lp"])
+    def test_lp_norms_at_eight_columns_are_within_4_ulp(self, kind, rng):
+        # numpy's sum turns pairwise at 8 terms; the column sum does not
+        for p in (1.05, 2.0, 7.0):
+            space = _lp_family(kind, 8, p)
+            a = rng.normal(size=(200, 8))
+            np.testing.assert_array_max_ulp(_norm_array(space, a), _plain_norm(space, a), 4)
+
+    @pytest.mark.parametrize("space", [
+        preset("lp:1.5-2d"), weighted_lp_space(3.0, [1.0, 2.0]), preset("l2-3"),
+        preset("lpsum:3:l1-2d+lp:1.5-2d")],
+        ids=["lp:1.5-2d", "wlp:3:1,2", "l2-3", "lpsum:3:l1-2d+lp:1.5-2d"])
+    def test_lp_norms_take_read_only_input(self, space, rng):
+        if space.dim <= 3:
+            a = sphere_grid(space, 0.1).points
+        else:
+            a = rng.normal(size=(50, space.dim))
+            a.setflags(write=False)
+        assert np.array_equal(_norm_array(space, a), _plain_norm(space, a))
 
 
 class TestPolarity:
@@ -251,6 +308,14 @@ class TestDualityMaps:
                 assert K.shape == (space.dim - 1, space.dim)
                 assert np.allclose(K @ K.T, np.eye(space.dim - 1), rtol=0.0, atol=1e-12)
                 assert np.allclose(K @ f, 0.0, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["l1-3d", "linf-3d", "lp:1.5-3d", "l2-3"])
+    def test_kernel_frames_are_the_per_row_frames_bit_for_bit(self, name):
+        # the batched row scales equal np.linalg.norm of each row
+        F = sphere_grid(polar_space(preset(name)), 0.25).points
+        scale = np.array([np.linalg.norm(a) for a in F])
+        want = np.linalg.svd((F / scale[:, None])[:, None, :])[2][:, 1:]
+        assert np.array_equal(_kernel_frames(F), want)
 
 
 class TestDescriptors:

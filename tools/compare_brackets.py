@@ -33,6 +33,12 @@ its method tag, every norm value and every functional coordinate:
   the polytopes l1-3d, linf-3d, ``cross:4`` and ``cube:4`` (cross_polytope(4)
   and hypercube(4)) and ``poly3d:S``, the symmetric hull of six seeded
   Gaussian points in R^3 and their negatives (seed S);
+- norm and dual norm at seeded random points, as one array and one vector
+  at a time, on lp and weighted lp spaces in dimensions 1 and 4 to 7 and
+  on an lp-sum with a 5-D lp component (``NORM_SPACES``), so that every
+  column count of the lp-family norm kernel is covered, and in dimension 8
+  (``NORM8_SPACES``) under the kinds ``norm8`` and ``dual_norm8``, where
+  numpy's sum turns pairwise and values may move by an ulp or two;
 - every verification suite's ``to_json()`` report at small fixed settings
   (``VERIFY_RUNS``) and the ``run_oracle_battery()`` output.
 
@@ -59,6 +65,16 @@ SPACES_3D = ["l2-3", "l1-3d", "linf-3d"]
 SUPPORT_SPACES = ["l2-2", "l2-3", "lp:1.5-2d", "lp:3-2d", "l1-2d", "linf-2d",
                   "square-rot", "l2sum-4", "lpsum:3:l1-2d+lp:1.5-2d", "l1-3d",
                   "linf-3d", "cross:4", "cube:4", "poly3d:0", "poly3d:1"]
+
+
+def _weighted(p, d):
+    return f"weighted:{p}:" + ",".join(str(0.5 + 0.75 * i) for i in range(d))
+
+
+NORM_SPACES = ([f"lp:{p}-{d}d" for d in (1, 4, 5, 6, 7) for p in (1.5, 3)]
+               + [_weighted(p, d) for d in (1, 4, 5, 6, 7) for p in (1.5, 7)]
+               + ["lpsum:3:lp:1.5-5d+l1-2d"])
+NORM8_SPACES = ["lp:1.5-8d", "lp:3-8d", _weighted(7, 8)]
 # suite name -> (run_suite keywords, resolution or None)
 VERIFY_RUNS = {
     "lemmas": ({"spaces": ["l2-2", "lp:1.5-2d", "l1-2d", "square-rot"], "seed": 3,
@@ -279,6 +295,15 @@ def dump(path: str) -> None:
         pts /= bm.norm(sp, pts)[:, None]
         out[f"support {name}"] = [float(c) for x in pts
                                   for c in _support_array(sp, x)]
+    for kind, names in (("", NORM_SPACES), ("8", NORM8_SPACES)):
+        for name in names:
+            sp = _space(bm, name)
+            raw = rng_norm.standard_normal((50, sp.dim))
+            # the whole array, then its first rows one vector at a time
+            out[f"norm{kind} {name}"] = (bm.norm(sp, raw).tolist()
+                                         + [float(bm.norm(sp, x)) for x in raw[:10]])
+            out[f"dual_norm{kind} {name}"] = (bm.dual_norm(sp, raw).tolist()
+                                              + [float(bm.dual_norm(sp, x)) for x in raw[:10]])
     verify = {}
     for name, (kw, res) in VERIFY_RUNS.items():
         budget = bm.Budget(resolution=res) if res is not None else None
