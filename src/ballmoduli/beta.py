@@ -382,34 +382,37 @@ def _sup_floors(space: SpaceDescriptor, W: SpaceDescriptor, F: np.ndarray,
     ones for the lower end, feasible ones for the upper), computed in
     blocks of f that share the t-independent norms ||S - f||; the counts
     are beta_sup's number of feasible candidate rows at the end's t.  A
-    floor is f's end evaluated on every ``_PRUNE_STRIDE``-th point of its x
-    grid and on P[f], with the max of g.x taken over a superset of f's
-    candidate rows, so it is at most the end beta_sup computes, up to
-    rounding: a max over fewer x is smaller, and a max of g.x over more
-    rows is larger, so 1 - g.x smaller.
+    floor is f's end evaluated at its preimage P[f], with the max of g.x
+    taken over -f and the rows of f's exact masks, so it is at most the end
+    beta_sup computes, up to rounding: a max over fewer x is smaller.
 
-    The superset: -f, and for the sphere rows and the cut rows f + t u the
-    rows of S picked by ``_masked_maxima``: exactly the mask in 3-D, its
-    shortest covering cyclic run in the plane.  A run holds the mask
-    whatever the mask is, so the floors stay below the ends even where
-    rounding splits a mask.  In exact arithmetic both masks are single
-    runs, so the run is the mask and the floor is as tight as the masked
-    one: {u : ||u - f|| >= t} is an arc around -f by the monotonicity lemma
-    (``sphere_grid``), and {u : ||f + t u|| <= 1} is the part of the circle
-    f + t S inside the ball, one arc, because the boundaries of two
-    positive homothets of a plane convex body meet in at most two
-    connected pieces (the relaxed masks widen t and the ball, the same
-    shapes).  Rounding: g.x for a cut row is taken as f.x + t (u.x), and
-    the products here have other shapes than beta_sup's, so a floor can
-    exceed beta_sup's value by rounding errors of products of vectors of
-    moderate coordinates, a few ulps; ``_least_sup_end`` skips an f only
-    when its floor is ``_MARGIN`` = 1e-12 above the min, far above such
-    errors.  Every temporary holds about ``_BLOCK`` entries or fewer."""
+    In the plane the floor is also f's end on every ``_PRUNE_STRIDE``-th
+    point of its x grid, with the max of g.x over a superset of f's
+    candidate rows (a max over more rows is larger, so 1 - g.x smaller):
+    for the sphere rows and the cut rows f + t u the maximum over each
+    mask's shortest covering cyclic run of S (``_masked_maxima``).  A run
+    holds the mask whatever the mask is, so the floors stay below the ends
+    even where rounding splits a mask.  In exact arithmetic both masks are
+    single runs, so the run is the mask and the floor is as tight as the
+    masked one: {u : ||u - f|| >= t} is an arc around -f by the
+    monotonicity lemma (``sphere_grid``), and {u : ||f + t u|| <= 1} is
+    the part of the circle f + t S inside the ball, one arc, because the
+    boundaries of two positive homothets of a plane convex body meet in at
+    most two connected pieces (the relaxed masks widen t and the ball, the
+    same shapes).  These strided x pay in the plane, where they keep the
+    end scans to a few functionals; in 3-D a masked max over them costs
+    more than the scans it saves, so the floor reads P[f] alone.
+
+    Rounding: g.x for a cut row is taken as f.x + t (u.x), and the products
+    here have other shapes than beta_sup's, so a floor can exceed beta_sup's
+    value by rounding errors of products of vectors of moderate
+    coordinates, a few ulps; ``_least_sup_end`` skips an f only when its
+    floor is ``_MARGIN`` = 1e-12 above the min, far above such errors.
+    Every temporary holds about ``_BLOCK`` entries or fewer."""
     res_x, res_g = _sup_resolutions(space, W, budget)
     xgrid = sphere_grid(space, res_x)
     ggrid = sphere_grid(W, res_g)
     S, h = ggrid.points, ggrid.covering
-    Xs = xgrid.points[::_PRUNE_STRIDE]
     n, m = len(F), len(S)
     bits = np.empty((2, 2, n, -(-m // 8)), dtype=np.uint8)  # (end, sphere/cut, f, S)
     n_feas = np.empty((2, n), dtype=np.int64)
@@ -426,11 +429,14 @@ def _sup_floors(space: SpaceDescriptor, W: SpaceDescriptor, F: np.ndarray,
             n_feas[e, blk] = (1 + np.count_nonzero(feas[0], axis=1)
                               + np.count_nonzero(feas[1], axis=1))
         bits[:, :, blk] = np.packbits(masks, axis=-1)
-        # the max of u.x over each mask: x on the strided grid, then P[f]
-        top = np.concatenate([
-            _masked_maxima(Xs, S, masks.reshape(-1, m), W.dim == 2).reshape(2, 2, len(Fb), -1),
-            np.where(masks, Pb @ S.T, -np.inf).max(axis=-1)[..., None]], axis=-1)
-        fx = np.concatenate([Fb @ Xs.T, np.einsum("fd,fd->f", Fb, Pb)[:, None]], axis=1)
+        # the max of u.x over each mask at P[f], after the strided x in the plane
+        top = np.where(masks, Pb @ S.T, -np.inf).max(axis=-1)[..., None]
+        fx = np.einsum("fd,fd->f", Fb, Pb)[:, None]
+        if W.dim == 2:
+            Xs = xgrid.points[::_PRUNE_STRIDE]
+            runs = _masked_maxima(Xs, S, masks.reshape(-1, m)).reshape(2, 2, len(Fb), -1)
+            top = np.concatenate([runs, top], axis=-1)
+            fx = np.concatenate([Fb @ Xs.T, fx], axis=1)
         for e, lower in enumerate((True, False)):
             g = np.maximum(np.maximum(top[e, 0], fx + ts[e] * top[e, 1]), -fx)
             if lower:
@@ -440,15 +446,12 @@ def _sup_floors(space: SpaceDescriptor, W: SpaceDescriptor, F: np.ndarray,
     return [(floors[e], bits[e], n_feas[e], m) for e in range(2)]
 
 
-def _masked_maxima(X: np.ndarray, S: np.ndarray, masks: np.ndarray,
-                   planar: bool) -> np.ndarray:
+def _masked_maxima(X: np.ndarray, S: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """A (k, x) array bounding max{S[j].X[x] : masks[k, j]} from above
-    (-inf where a mask is empty), for the rows of X and S and (k, len(S))
-    masks; the products are taken in blocks of rows of X.
+    (-inf where a mask is empty), for the rows of X, the rows of a 2-D
+    sphere grid S in its angular order and (k, len(S)) masks.
 
-    In 3-D it is that masked maximum, taken directly in blocks.  In the
-    plane (``planar``: the columns follow a 2-D sphere grid's angular
-    order) it is the maximum over the mask's shortest covering cyclic run
+    It is the maximum over the mask's shortest covering cyclic run
     (``gridutil._covering_runs``), a superset of the mask and the mask
     itself wherever the mask is one run, as the candidate masks are in
     exact arithmetic (``_sup_floors``).  The run maxima come from a sparse
@@ -460,28 +463,19 @@ def _masked_maxima(X: np.ndarray, S: np.ndarray, masks: np.ndarray,
     blocks of x of about ``_BLOCK`` entries."""
     k, n = masks.shape
     out = np.empty((k, len(X)))
-    if planar:
-        start, length = _covering_runs(masks)
-        lev = np.frexp(np.maximum(length, 1))[1] - 1
-        right = start + length - (1 << lev)
-        n_lev = n.bit_length()
-        step = max(1, _BLOCK // (n_lev * 2 * n))
-        for j in range(0, len(X), step):
-            tb = X[j:j + step] @ S.T
-            table = np.full((n_lev, len(tb), 2 * n), -np.inf)
-            table[0] = np.concatenate([tb, tb], axis=1)
-            for v in range(1, n_lev):
-                w = 1 << (v - 1)
-                np.maximum(table[v - 1, :, :-w], table[v - 1, :, w:],
-                           out=table[v, :, :-w])
-            out[:, j:j + step] = np.maximum(table[lev, :, start], table[lev, :, right])
-        out[length == 0] = -np.inf
-        return out
-    step = max(1, _BLOCK // n)
+    start, length = _covering_runs(masks)
+    lev = np.frexp(np.maximum(length, 1))[1] - 1
+    right = start + length - (1 << lev)
+    n_lev = n.bit_length()
+    step = max(1, _BLOCK // (n_lev * 2 * n))
     for j in range(0, len(X), step):
         tb = X[j:j + step] @ S.T
-        rows = max(1, _BLOCK // (len(tb) * n))
-        for i in range(0, k, rows):
-            out[i:i + rows, j:j + step] = np.where(
-                masks[i:i + rows, None, :], tb, -np.inf).max(axis=-1)
+        table = np.full((n_lev, len(tb), 2 * n), -np.inf)
+        table[0] = np.concatenate([tb, tb], axis=1)
+        for v in range(1, n_lev):
+            w = 1 << (v - 1)
+            np.maximum(table[v - 1, :, :-w], table[v - 1, :, w:],
+                       out=table[v, :, :-w])
+        out[:, j:j + step] = np.maximum(table[lev, :, start], table[lev, :, right])
+    out[length == 0] = -np.inf
     return out

@@ -11,12 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bracket import ModulusCurve
 from .errors import DomainError
-from .spaces import (Point, SpaceDescriptor, duality_preimage, polar_space,
-                     _norm_array, _unit_coords)
+from .spaces import Point, SpaceDescriptor, polar_space, _support_array, _unit_coords
 
 
 def delta_q_lower(q: float, eps: float) -> float:
@@ -66,19 +63,12 @@ class ComponentModuli:
 
 def witness_functional(sum_space: SpaceDescriptor, f) -> Point:
     """The unit vector z with blocks ||f_i||^(q/p) x_i, where x_i norms the
-    i-th block direction of the unit functional f."""
+    i-th block direction of the unit functional f: the duality preimage of
+    f in the sum."""
     if sum_space.kind != "lp-sum":
         raise DomainError("witness_functional requires an lp-sum space")
     fa = _unit_coords(sum_space, f, "dual", "f")
-    p, q = sum_space.p, sum_space.q
-    z = np.zeros(sum_space.dim)
-    for comp, s in zip(sum_space.components, sum_space.block_slices):
-        block = fa[s]
-        nb = float(_norm_array(polar_space(comp), block))
-        if nb > 1e-12:
-            x_i = duality_preimage(comp, block / nb).array
-            z[s] = nb ** (q / p) * x_i
-    return Point.of(sum_space, z)
+    return Point.of(sum_space, _support_array(polar_space(sum_space), fa))
 
 
 def sum_slice_threshold_case1(q: float, t: float, beta0: ComponentModuli) -> float:

@@ -70,7 +70,8 @@ def _sphere(space: SpaceDescriptor, resolution: float) -> tuple[np.ndarray, floa
 def grid_bracket(kind: str, space: SpaceDescriptor, resolution: float,
                  **args) -> Bracket:
     """Brute-force certified bracket for one of the supported problem kinds:
-    delta, s, d, beta, beta_sup, slice-diameter."""
+    delta, s, d, beta, beta_sup, slice-diameter.  The ends are passed to
+    ``Bracket`` as computed, so an inverted pair raises ``ValueError``."""
     if resolution <= 0:
         raise DomainError("resolution must be positive")
     if space.dim > 3:
@@ -86,7 +87,7 @@ def grid_bracket(kind: str, space: SpaceDescriptor, resolution: float,
     if fn is None:
         raise DomainError(f"unsupported oracle problem kind {kind!r}")
     lower, upper, lip = fn(space, resolution, **args)
-    return Bracket(lower=lower, upper=max(upper, lower), method=GRID,
+    return Bracket(lower=lower, upper=upper, method=GRID,
                    resolution=resolution, lipschitz=lip)
 
 
@@ -105,7 +106,8 @@ def _g_delta(space, resolution, *, t):
         relax = dist >= t - 2.0 * h
         if np.any(relax):
             best_r = min(best_r, float(np.min(vals[relax])))
-    return max(0.0, best_r - h), best_f, 1.0
+    # delta >= 0 a priori, and a negative value is rounding in ||x+y|| <= 2
+    return max(0.0, best_r - h), max(best_f, 0.0), 1.0
 
 
 def _kernel_dir(f: np.ndarray) -> np.ndarray:
@@ -241,24 +243,36 @@ def exact_s_point(space: SpaceDescriptor, x, f, t) -> Fraction:
         Fraction(t).limit_denominator(10 ** 12))
 
 
+def _on_sphere(ball: Polygon, v) -> tuple[Fraction, Fraction]:
+    """v in exact arithmetic, scaled radially onto the sphere of ``ball``.
+    The sign tests take their point through it: a float point of a sphere
+    edge is off it by about an ulp, and just outside the ball d reads
+    positive where it is 0 on the sphere."""
+    a = frac_vec(v)
+    scale = ball.gauge(a)
+    return (a[0] / scale, a[1] / scale)
+
+
 def exact_d_positive(space: SpaceDescriptor, x, t) -> bool:
     """Exact sign of d(x, t) on a 2-D polyhedral sphere: True iff positive."""
+    ball = to_polygon(space)
     return not exactpoly.denting_nonpositive(
-        to_polygon(space), frac_vec(x), Fraction(t).limit_denominator(10 ** 12))
+        ball, _on_sphere(ball, x), Fraction(t).limit_denominator(10 ** 12))
 
 
 def exact_d_star_positive(space: SpaceDescriptor, f, t) -> bool:
     """Exact sign of d*(f, t): the same test on the polar polygon."""
+    dual = to_polygon(space).polar()
     return not exactpoly.denting_nonpositive(
-        to_polygon(space).polar(), frac_vec(f),
-        Fraction(t).limit_denominator(10 ** 12))
+        dual, _on_sphere(dual, f), Fraction(t).limit_denominator(10 ** 12))
 
 
 def exact_d_star_zero_is_zero(space: SpaceDescriptor, f, t) -> bool:
     """True when d*_0(f, t) = 0 exactly: no g in the closed t-neighbourhood
     of f on the dual sphere is w*-denting at scale t."""
+    primal = to_polygon(space)
     return exactpoly.dstar_zero_nonpositive(
-        to_polygon(space), frac_vec(f), Fraction(t).limit_denominator(10 ** 12))
+        primal, _on_sphere(primal.polar(), f), Fraction(t).limit_denominator(10 ** 12))
 
 
 # -- the fixed oracle/engine battery ---------------------------------------

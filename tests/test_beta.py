@@ -341,13 +341,14 @@ class TestPeakTops:
         assert blocks == [1, 1] and passes == []
 
 
-def _dense_floors(space, W, F, t, budget, lower):
+def _dense_floors(space, W, F, t, budget, lower, strided=True):
     """beta_global's first-pass floors with every masked max taken directly,
-    on an (f, x, rows) tensor over the strided x grid plus each preimage."""
+    on an (f, x, rows) tensor over the strided x grid (none unless
+    ``strided``) plus each preimage."""
     res_x, res_g = beta._sup_resolutions(space, W, budget)
     xgrid, ggrid = sphere_grid(space, res_x), sphere_grid(W, res_g)
     S, h = ggrid.points, ggrid.covering
-    Xs = xgrid.points[::beta._PRUNE_STRIDE]
+    Xs = xgrid.points[::beta._PRUNE_STRIDE] if strided else xgrid.points[:0]
     _, feasible, relaxed = beta._surface_masks(W, F, S, t, h)
     sph, cut = relaxed if lower else feasible
     XP = np.concatenate([np.broadcast_to(Xs, (len(F),) + Xs.shape),
@@ -362,6 +363,25 @@ def _dense_floors(space, W, F, t, budget, lower):
     return (1.0 - g).max(axis=-1) + xgrid.covering
 
 
+def _global_floors(space, t, budget):
+    """(W, F, ts, inner budget, ``_sup_floors``' two ends) of beta_global's
+    search for beta(t) at this budget."""
+    W = polar_space(space)
+    exact_2d = space.kind == "polyhedral" and space.dim == 2
+    fgrid = sphere_grid(W, beta._resolution(budget, 0.05 if exact_2d else 0.02, 0.15, W.dim))
+    inner = budget.with_resolution(
+        beta._resolution(budget, 0.02 if exact_2d else 8e-3, 0.1, W.dim))
+    F = fgrid.points
+    ts = (max(t - fgrid.covering, 1e-9), t)
+    return W, F, ts, inner, beta._sup_floors(space, W, F, _support_array(W, F), ts, inner)
+
+
+def _assert_below_ends(space, F, floors, t, budget, lower):
+    for f, floor in zip(F, floors):
+        b = beta_sup(space, f, t, budget)
+        assert floor <= (b.lower if lower else b.upper) + 1e-12
+
+
 class TestRunFloors:
     """In the plane beta_global's floors take each candidate mask's max over
     its covering cyclic run: still below every functional's beta_sup end,
@@ -371,15 +391,8 @@ class TestRunFloors:
     @pytest.mark.parametrize("t", [0.3, 0.7])
     def test_run_floors_against_dense_and_ends(self, name, t):
         make, res = EXACT_SPACES[name]
-        space, budget = make(), Budget(resolution=res)
-        W = polar_space(space)
-        exact_2d = space.kind == "polyhedral"
-        fgrid = sphere_grid(W, beta._resolution(budget, 0.05 if exact_2d else 0.02, 0.15, 2))
-        inner = budget.with_resolution(
-            beta._resolution(budget, 0.02 if exact_2d else 8e-3, 0.1, 2))
-        F = fgrid.points
-        ts = (max(t - fgrid.covering, 1e-9), t)
-        ends = beta._sup_floors(space, W, F, _support_array(W, F), ts, inner)
+        space = make()
+        W, F, ts, inner, ends = _global_floors(space, t, Budget(resolution=res))
         for (floors, bits, _, m), tt, lower in zip(ends, ts, (True, False)):
             dense = _dense_floors(space, W, F, tt, inner, lower)
             single = np.ones(len(F), dtype=bool)
@@ -388,9 +401,31 @@ class TestRunFloors:
             assert single.any()
             assert np.all(np.abs(floors - dense)[single] <= 1e-12)
             assert np.all(floors <= dense + 1e-12)
-            for f, floor in zip(F, floors):
-                b = beta_sup(space, f, tt, inner)
-                assert floor <= (b.lower if lower else b.upper) + 1e-12
+            _assert_below_ends(space, F, floors, tt, inner, lower)
+
+
+class TestPreimageFloors:
+    """In 3-D beta_global's floors read each functional's end at its own
+    duality preimage only: the dense floor over the preimages, below every
+    beta_sup end, and no run-maximum table."""
+
+    @pytest.mark.parametrize("name", ["lp:1.5-3d", "l1-3d"])
+    @pytest.mark.parametrize("t", [0.3, 0.7])
+    def test_preimage_floors_against_dense_and_ends(self, name, t):
+        space = preset(name)
+        W, F, ts, inner, ends = _global_floors(space, t, Budget(resolution=0.6))
+        for (floors, _, _, _), tt, lower in zip(ends, ts, (True, False)):
+            dense = _dense_floors(space, W, F, tt, inner, lower, strided=False)
+            assert np.all(np.abs(floors - dense) <= 1e-12)
+            _assert_below_ends(space, F, floors, tt, inner, lower)
+
+    def test_no_run_table_in_3d(self, monkeypatch):
+        calls = []
+        real = beta._masked_maxima
+        monkeypatch.setattr(beta, "_masked_maxima",
+                            lambda *a: calls.append(1) or real(*a))
+        beta_global(preset("lp:1.5-3d"), [0.3, 0.7], Budget(resolution=0.6))
+        assert calls == []
 
 
 def _pin_values(space, t):

@@ -73,6 +73,15 @@ class TestWitnessFunctional:
             assert norm(space, np.asarray(z.coords)) == pytest.approx(
                 1.0, abs=1e-9)
 
+    def test_norms_f_on_a_mixed_sum(self, rng):
+        space = preset("lpsum:3:l1-2d+lp:1.5-2d")
+        for _ in range(100):
+            f = rng.normal(size=4)
+            f = f / dual_norm(space, f)
+            z = np.asarray(witness_functional(space, f).coords)
+            assert norm(space, z) == pytest.approx(1.0, abs=1e-9)
+            assert float(f @ z) == pytest.approx(1.0, abs=1e-9)
+
     def test_zero_f_raises(self):
         with pytest.raises(DomainError):
             witness_functional(preset("l2sum-4"), (0.0, 0.0, 0.0, 0.0))

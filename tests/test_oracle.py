@@ -55,6 +55,15 @@ class TestExactPolyhedral:
         assert exact_d_star_positive(space, (1.0, 1.0), 0.5)
         assert not exact_d_star_positive(space, (1.0, 0.0), 0.5)
 
+    def test_sign_tests_scale_a_rounded_point_onto_the_sphere(self):
+        # the float f lies on a dual edge up to rounding, 2e-16 outside the
+        # dual ball: d*(f, t) = 0 there, as d*0(f, t) = 0 requires
+        space = polyhedral_space([(-0.625, 0.0), (-0.0625, -1.0), (0.5625, -0.5625),
+                                  (0.625, 0.0), (0.0625, 1.0), (-0.5625, 0.5625)])
+        f = (0.0032679738562091504, -1.0002042483660132)
+        assert exact_d_star_zero_is_zero(space, f, 0.0625)
+        assert not exact_d_star_positive(space, f, 0.0625)
+
     def test_beta_sup_cut_edge_through_origin(self):
         # an edge of f + t B* lies on a line through the origin
         space = polyhedral_space([(7 / 8, 7 / 16), (-7 / 8, -7 / 16), (0.0, 15 / 16),
@@ -114,6 +123,17 @@ class TestGridBrackets:
     def test_dimension_limit(self):
         with pytest.raises(DomainError):
             grid_bracket("delta", preset("l2sum-4"), 1e-2, t=1.0)
+
+    def test_inverted_bracket_raises(self, monkeypatch):
+        from ballmoduli import oracle
+        monkeypatch.setattr(oracle, "_g_delta", lambda *a, **k: (0.5, 0.4, 1.0))
+        with pytest.raises(ValueError):
+            grid_bracket("delta", preset("l2-2"), 1e-2, t=1.0)
+
+    def test_delta_upper_end_floored_at_zero(self):
+        # the best feasible objective is -2.2e-16, rounding in ||x+y|| <= 2
+        b = grid_bracket("delta", preset("l1-2d"), 2e-3, t=0.5)
+        assert b.lower == 0.0 and b.upper == 0.0
 
 
 def test_battery_is_fixed_and_well_formed():

@@ -14,7 +14,8 @@ its method tag, every norm value and every functional coordinate:
   pairs, beta and beta-sup at the default budget, and the oracle's
   brute-force d bracket, on the 2-D spaces;
 - beta-global at t = 0.3 and 0.7, at resolution 4e-2 on lp:1.5, lp:3 and
-  the weighted lp:3 plane and at 0.2 on l1-2d and square-rot, and beta-sup
+  the weighted lp:3 plane, at 0.2 on l1-2d and square-rot, at 0.45 on
+  lp:1.5-3d and lp:3-3d and at 0.6 on l1-3d, and beta-sup
   at 5e-3 on the three polygon presets, with f at a vertex and at an edge
   midpoint of the dual ball, and on lp:1.5, the weighted lp:3 plane and
   ``poly2d:6`` and ``poly2d:8`` (the first seeded rational polygons of 6
@@ -177,7 +178,8 @@ def _slice_s_beta(bm):
 
 def _beta_scans(bm):
     for name, res in (("lp:1.5-2d", 4e-2), ("lp:3-2d", 4e-2), ("weighted:3:1,2", 4e-2),
-                      ("l1-2d", 0.2), ("square-rot", 0.2)):
+                      ("l1-2d", 0.2), ("square-rot", 0.2), ("lp:1.5-3d", 0.45),
+                      ("lp:3-3d", 0.45), ("l1-3d", 0.6)):
         sp = _space(bm, name)
         for t in (0.3, 0.7):
             yield f"beta_global {name} {t} {res}", lambda: bm.beta_global(
