@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import exactpoly
-from .bracket import GRID, Bracket, ModulusCurve
+from .bracket import EXACT, GRID, Bracket, ModulusCurve
 from .config import Budget, resolve
 from .denting import _resolution
 from .errors import DomainError
@@ -117,7 +117,7 @@ def beta_sup(space: SpaceDescriptor, f, t: float,
     budget = resolve(budget)
     fa = _unit_coords(space, f, "dual", "f")
     if is_euclidean(space) and space.dim >= 2:
-        return _beta_sup_euclidean(t, budget)
+        return _beta_sup_euclidean(t)
     return _beta_sup_grid(space, polar_space(space), fa, t, budget)
 
 
@@ -268,12 +268,24 @@ def _block_max(rows: np.ndarray, blk: np.ndarray, slack: float) -> float:
     return float(np.max(1.0 - np.max(rows @ blk.T, axis=0) - slack))
 
 
-def _beta_sup_euclidean(t: float, budget: Budget) -> Bracket:
-    """In a Euclidean space of dimension >= 2 every unit f is equivalent
-    under isometry and the optimal x lies in a plane through f; compute on
-    the 2-D model.  A line has no such plane, and its callers check it."""
-    plane = lp_space(2, 2.0)
-    return _beta_sup_grid(plane, plane, np.array([1.0, 0.0]), t, budget)
+def _beta_sup_euclidean(t: float) -> Bracket:
+    """beta(f, t) = t^2/2 for every unit f of an inner-product space of
+    dimension >= 2, enclosed within an ulp on each side (the product t*t
+    and its halving err by at most an ulp together).  A line has no such
+    plane, and its callers check it.
+
+    Proof, with f(x) = <f, x> and f's duality preimage x = f: a feasible g
+    (|g| <= 1, |f - g| >= t) has 2 g(f) = |g|^2 + 1 - |f - g|^2 <= 2 - t^2,
+    so beta(f, f, t) >= t^2/2, and the unit g at chord t from f attains it.
+    Any other unit x lies in a plane through f; with a the angle from f to
+    x and b = 2 asin(t/2) the angle of chord t, g = x is feasible where
+    a >= b and gives 0, and else the unit g at angle b on x's side is
+    feasible and gives 1 - cos(b - a) <= 1 - cos b = t^2/2.  So beta(f, t),
+    the sup over x, is t^2/2 for every f, and so is beta(t), the inf over
+    f."""
+    v = t * t * 0.5
+    return Bracket(lower=math.nextafter(v, -math.inf), upper=math.nextafter(v, math.inf),
+                   method=EXACT, lipschitz=0.0)
 
 
 def beta_global(space: SpaceDescriptor, t_grid,
@@ -301,17 +313,22 @@ def _beta_global_single(space: SpaceDescriptor, t: float, budget: Budget) -> Bra
     pass builds both ends' masks and floors, and ``_least_sup_end`` runs
     the end's own scan on the few functionals that can move it.  On a
     2-D polygon the exact beta(g, t) at the dual vertices and edge midpoints
-    cap the upper end from the start."""
+    cap the upper end from the start, and a zero among them ends the
+    search: beta(t) is then 0, and the result is the [0, 0] the scans would
+    give (their lower end is a certified lower bound of beta(t), clamped
+    at 0)."""
     if is_euclidean(space) and space.dim >= 2:
-        return _beta_sup_euclidean(t, budget)
+        return _beta_sup_euclidean(t)
     W = polar_space(space)
     exact_2d = space.kind == "polyhedral" and space.dim == 2
     res_f = _resolution(budget, 0.05 if exact_2d else 0.02, 0.15, W.dim)
+    upper = _exact_pins(space, t) if exact_2d else math.inf
+    if upper == 0.0:
+        return Bracket(lower=0.0, upper=0.0, method=GRID, resolution=res_f, lipschitz=1.0)
     fgrid = sphere_grid(W, res_f)
     h_f = fgrid.covering
     inner = budget.with_resolution(
         _resolution(budget, 0.02 if exact_2d else 8e-3, 0.1, W.dim))
-    upper = _exact_pins(space, t) if exact_2d else math.inf
     ts = (max(t - h_f, 1e-9), t)
     F = fgrid.points
     P = _support_array(W, F)
@@ -323,12 +340,17 @@ def _beta_global_single(space: SpaceDescriptor, t: float, budget: Budget) -> Bra
 
 
 def _exact_pins(space: SpaceDescriptor, t: float) -> float:
-    """The least exact beta(g, t) over the dual-sphere vertices and edge
-    midpoints of a 2-D polygon: each is a genuine unit functional, so
-    beta(t) <= the value.  beta(g, t) >= 0, so a zero ends the search."""
+    """The least exact beta(g, t') over the dual-sphere vertices and edge
+    midpoints of the 2-D polygon of ``exact_vertices`` (coordinates rounded
+    by ``limit_denominator(10**12)``), where t' is the least k / 10^12 at or
+    above t: each g is a genuine unit functional and beta(g, .) does not
+    decrease (its feasible set shrinks as t grows), so
+    beta(t) <= beta(g, t) <= beta(g, t').  t' stays a short rational, and
+    rounding t to the nearest one could put t' below t, where the value is
+    no upper end.  beta(g, t') >= 0, so a zero ends the search."""
     primal = exactpoly.Polygon(exact_vertices(space))
     dual = primal.polar()
-    t_exact = Fraction(t).limit_denominator(10 ** 12)
+    t_exact = Fraction(math.ceil(Fraction(t) * 10 ** 12), 10 ** 12)
     n = len(dual.vertices)
     best = math.inf
     for i, v in enumerate(dual.vertices):

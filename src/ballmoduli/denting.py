@@ -10,10 +10,13 @@ Bracket is rigorous under those constants.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
+from . import exactpoly
 from .bracket import GRID, Bracket
 from .config import Budget, resolve
 from .errors import BudgetError, DomainError
@@ -35,6 +38,39 @@ def modulus_convexity(space: SpaceDescriptor, t: float,
                       budget: Optional[Budget] = None) -> Bracket:
     """Certified bracket for inf{1 - ||x+y||/2 : x,y unit, ||x-y|| >= t}.
 
+    On a 2-D polygon the value is exactly 0 for t <= D, the largest length
+    of an edge in the polygon's own norm (``_flat_threshold``): the ends x
+    and y of that edge are unit vectors with ||x - y|| = D >= t, and their
+    midpoint lies on the same edge, so 1 - ||x + y||/2 = 0, while
+    delta >= 0 always.  Every other case takes the grid search
+    (``_convexity_grid``).
+    """
+    if not (0.0 < t <= 2.0):
+        raise DomainError(f"modulus of convexity needs 0 < t <= 2, got {t}")
+    D = _flat_threshold(space)
+    if D is not None and Fraction(t) <= D:
+        return Bracket.exact(0.0)
+    return _convexity_grid(space, t, resolve(budget))
+
+
+@lru_cache(maxsize=256)
+def _flat_threshold(space: SpaceDescriptor) -> Optional[Fraction]:
+    """D for a 2-D polygon, the largest own-norm length of an edge w - v,
+    on the polygon whose vertices are the descriptor's float vertices taken
+    exactly; None for any other space, and for a polygon whose float
+    vertices are not exactly symmetric (no norm ball).  Memoized on the
+    descriptor's value, as ``polar_space`` is."""
+    if space.kind != "polyhedral" or space.dim != 2:
+        return None
+    V = [(Fraction(x), Fraction(y)) for x, y in space.vertices]
+    if set(V) != {(-x, -y) for x, y in V}:
+        return None
+    return exactpoly.edge_diameter(exactpoly.Polygon(V))
+
+
+def _convexity_grid(space: SpaceDescriptor, t: float, budget: Budget) -> Bracket:
+    """modulus_convexity's grid search, 0 < t <= 2.
+
     The upper end is the least objective over grid pairs at distance >= t,
     the lower end the least over grid pairs at distance >= t - 2h minus h
     (h the grid's covering radius).  In the plane both minima come from
@@ -50,9 +86,6 @@ def modulus_convexity(space: SpaceDescriptor, t: float,
     ``BudgetError`` is raised when the norm evaluations this path makes
     would pass ``max_evals``; in 3-D, when half the n^2 pair grid would.
     """
-    if not (0.0 < t <= 2.0):
-        raise DomainError(f"modulus of convexity needs 0 < t <= 2, got {t}")
-    budget = resolve(budget)
     res = _resolution(budget, 1.5e-3, 0.12, space.dim)
     grid = sphere_grid(space, res)
     pts, h = grid.points, grid.covering

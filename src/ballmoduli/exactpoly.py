@@ -153,6 +153,11 @@ def slice_diameter_exact(ball: Polygon, f: Vec, alpha: Fraction) -> Fraction:
     return best
 
 
+def edge_diameter(ball: Polygon) -> Fraction:
+    """The largest length of an edge w - v in the ball's own norm."""
+    return max(ball.gauge(sub(w, v)) for v, w in ball.edges())
+
+
 # -- beta moduli -----------------------------------------------------------
 
 
@@ -213,16 +218,28 @@ def _min_of_max_affine(consts: Sequence[Fraction], slopes: Sequence[Fraction],
     """min over s in [lo, hi] of max_i (consts[i] + s slopes[i]), exactly.
 
     The maximum is convex and piecewise linear in s, so the minimum is
-    attained at an endpoint or where two of the lines cross."""
-    cands = {lo, hi}
-    m = len(consts)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if slopes[i] != slopes[j]:
-                s = (consts[j] - consts[i]) / (slopes[i] - slopes[j])
-                if lo < s < hi:
-                    cands.add(s)
-    return min(max(c + s * k for c, k in zip(consts, slopes)) for s in cands)
+    attained at an endpoint or where two of the lines cross.  The upper
+    envelope is walked right from lo: at s, the active line of largest
+    slope is the envelope's right derivative.  Where that slope is >= 0 the
+    envelope does not decrease on [s, hi], and every piece walked before
+    decreased, so its value at s is the minimum.  Otherwise the envelope
+    follows that line to the first crossing of a steeper line, which lies
+    strictly right of s (each steeper line is strictly below it at s), or
+    to hi.  Slopes increase from piece to piece, so there are at most m
+    pieces, each found in O(m)."""
+    s = lo
+    while True:
+        vals = [c + s * k for c, k in zip(consts, slopes)]
+        top = max(vals)
+        i = max((j for j, v in enumerate(vals) if v == top), key=slopes.__getitem__)
+        if slopes[i] >= 0:
+            return top
+        c, k = consts[i], slopes[i]
+        nxt = min(((c - cj) / (kj - k) for cj, kj in zip(consts, slopes) if kj > k),
+                  default=hi)
+        if nxt >= hi:
+            return c + hi * k
+        s = nxt
 
 
 # -- s modulus on a polygonal ball ----------------------------------------

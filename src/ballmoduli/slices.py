@@ -149,7 +149,8 @@ def f_eps_radius(space: SpaceDescriptor, eps: float,
     bound (by definition a search floor): the largest norm of a sample
     point for which no witness slice was found within the budget.  The
     lower bound is sampled, not certified, so the bracket is tagged
-    ``multistart``.
+    ``multistart``, with the resolution of the witness slices' grids (the
+    upper end's delta* may be exact, on a polygon).
     Convention: eps >= 2 returns [0, 0] — the whole-ball slice witnesses
     every point.
     """
@@ -159,6 +160,7 @@ def f_eps_radius(space: SpaceDescriptor, eps: float,
         return Bracket.exact(0.0)
     budget = resolve(budget)
     W = polar_space(space)
+    slice_budget = budget.with_resolution(_resolution(budget, 5e-3, 0.08, W.dim))
     delta = modulus_convexity(W, eps / 2.0, budget)
     tau = 1.0 - 2.0 * max(delta.lower, 0.0)
     upper = min(1.0, tau)
@@ -175,11 +177,11 @@ def f_eps_radius(space: SpaceDescriptor, eps: float,
             fr = r * fa
             if float(_norm_array(W, fr)) <= lower:
                 continue
-            if not _has_witness_slice(space, W, fr, eps, budget):
+            if not _has_witness_slice(space, W, fr, eps, slice_budget):
                 lower = max(lower, float(_norm_array(W, fr)))
     lower = min(lower, upper)
     return Bracket(lower=lower, upper=upper, method=MULTISTART,
-                   resolution=delta.resolution, lipschitz=1.0)
+                   resolution=slice_budget.resolution, lipschitz=1.0)
 
 
 def _facet_midpoints(W: SpaceDescriptor) -> np.ndarray:
@@ -193,13 +195,12 @@ def _facet_midpoints(W: SpaceDescriptor) -> np.ndarray:
 
 
 def _has_witness_slice(space: SpaceDescriptor, W: SpaceDescriptor,
-                       fr: np.ndarray, eps: float, budget: Budget) -> bool:
+                       fr: np.ndarray, eps: float, slice_budget: Budget) -> bool:
     r = float(_norm_array(W, fr))
     if r < 1e-12:
         return True  # the origin lies in every slice; small slices exist
     dirs = [duality_preimage(space, fr / r).array]
     dirs.extend(lowdisc_sphere(space, 12))
-    slice_budget = budget.with_resolution(_resolution(budget, 5e-3, 0.08, W.dim))
     for xa in dirs:
         v = float(fr @ xa)
         if v <= 0.0:

@@ -475,6 +475,10 @@ def _kernel_frames(F: np.ndarray) -> np.ndarray:
 
 
 def exact_vertices(space: SpaceDescriptor) -> list[tuple[Fraction, ...]]:
+    """The vertices as rationals, each coordinate rounded by
+    ``limit_denominator(10**12)``: the polygon of the exact paths (the
+    oracle and beta_global's pins), which is the float polygon exactly when
+    every coordinate is a fraction of denominator at most 10^12."""
     if space.kind != "polyhedral":
         raise DescriptorError("exact vertex form only exists for polyhedral spaces")
     return [tuple(Fraction(c).limit_denominator(10 ** 12) for c in v)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from ballmoduli import (Budget, DomainError, beta_global, beta_point, beta_sup,
                         dual_norm, duality_preimage, is_euclidean, lp_space,
                         make_lp_sum, polar_space, polyhedral_space, preset,
                         weighted_lp_space)
-from ballmoduli import beta
+from ballmoduli import EXACT, beta
 from ballmoduli.config import resolve
 from ballmoduli.gridutil import _covering_runs, sphere_grid
 from ballmoduli.spaces import _norm_array, _support_array
@@ -72,6 +73,20 @@ class TestBetaSup:
         b = beta_sup(preset("l1-2d"), (1.0, 1.0), 0.25)
         assert b.lower > 0.0
 
+    @pytest.mark.parametrize("t", [1e-8, 0.1, 0.3, 0.5, 0.7, 0.9999999999999999])
+    def test_euclidean_encloses_half_t_squared(self, t):
+        # t^2/2 of the float t, in exact arithmetic, on every inner-product
+        # space of dimension >= 2, for beta_sup and beta_global alike
+        exact = Fraction(t) ** 2 / 2
+        spaces = [(preset("l2-2"), (1.0, 0.0)), (preset("l2-3"), (0.0, 1.0, 0.0)),
+                  (weighted_lp_space(2.0, (1.0, 4.0, 9.0)), (1.0, 0.0, 0.0)),
+                  (preset("l2sum-4"), (0.6, 0.0, 0.0, 0.8))]
+        for space, f in spaces:
+            for b in (beta_sup(space, f, t), beta_global(space, [t]).values[0]):
+                assert b.method == EXACT
+                assert Fraction(b.lower) <= exact <= Fraction(b.upper)
+                assert b.width <= 4.0 * math.ulp(exact)
+
 
 class TestBetaGlobal:
     def test_euclidean_curve_is_half_t_squared(self):
@@ -129,8 +144,6 @@ def _unpruned_surfaces(W, fa, t, res):
 def _unpruned_beta_sup(space, f, t, budget=None):
     """beta_sup's (lower, upper) without pruning: every x block in full."""
     budget = resolve(budget)
-    if is_euclidean(space):
-        space, f = lp_space(2, 2.0), (1.0, 0.0)
     W = polar_space(space)
     fa = np.asarray(f, dtype=float)
     xgrid = sphere_grid(space, beta._resolution(budget, 2e-3, 0.08, space.dim))
@@ -152,8 +165,6 @@ def _unpruned_beta_global(space, t, budget=None):
     """beta_global's (lower, upper) at one t without pruning: both ends of
     beta_sup on every functional of the dual grid."""
     budget = resolve(budget)
-    if is_euclidean(space):
-        return _unpruned_beta_sup(space, None, t, budget)
     W = polar_space(space)
     exact_2d = space.kind == "polyhedral" and space.dim == 2
     fgrid = sphere_grid(W, beta._resolution(budget, 0.05 if exact_2d else 0.02, 0.15, W.dim))
@@ -217,8 +228,10 @@ class TestPrunedScans:
         assert (got.lower, got.upper) == _unpruned_beta_global(space, t, budget)
 
     def test_euclidean_default_budget(self):
-        got = beta_sup(preset("l2-2"), (1.0, 0.0), 0.5)
-        assert (got.lower, got.upper) == _unpruned_beta_sup(preset("l2-2"), None, 0.5)
+        # the plane-model grid search, which Euclidean beta_sup no longer runs
+        plane = lp_space(2, 2.0)
+        got = beta._beta_sup_grid(plane, plane, np.array([1.0, 0.0]), 0.5, resolve(None))
+        assert (got.lower, got.upper) == _unpruned_beta_sup(plane, (1.0, 0.0), 0.5)
 
     def test_plateau_where_most_x_survive(self):
         # on the flat face of l1-2d most x share the bound of the best one
@@ -227,9 +240,8 @@ class TestPrunedScans:
         assert (got.lower, got.upper) == _unpruned_beta_sup(space, (1.0, 0.0), 0.3, budget)
 
     def test_lower_end_stops_at_zero(self, monkeypatch):
-        # the first functional scanned has lower end 0, and the exact pins
-        # leave no functional that can lower the upper end 0: one one-end
-        # scan in all, for the lower end at t - h
+        # an exact pin is 0, so beta(t) = 0 and the search ends before any
+        # one-end scan: the bracket is the [0, 0] every scan gives
         space, budget = preset("l1-2d"), Budget(resolution=0.2)
         calls = []
         real = beta._sup_end
@@ -238,7 +250,7 @@ class TestPrunedScans:
         got = beta_global(space, [0.5], budget).values[0]
         assert (got.lower, got.upper) == (0.0, 0.0)
         assert (got.lower, got.upper) == _unpruned_beta_global(space, 0.5, budget)
-        assert len(calls) == 1 and calls[0] < 0.5
+        assert len(calls) == 0
 
 
 def _end_rows(space, f, t, budget, lower):
@@ -451,6 +463,22 @@ class TestExactPins:
             values = _pin_values(space, t)
             assert beta._exact_pins(space, t) == min(values)
             assert (min(values) > 0.0) == (t == 0.7)
+
+    def test_rounds_t_up(self):
+        # at t' = 1/2 every pin of this hexagon is 0, and beta > 0 for every
+        # t > 1/2: a pin at the nearest short rational to t would be below t
+        # and give a certified [0, 0]
+        space = polyhedral_space([(7 / 8, 7 / 16), (-7 / 8, -7 / 16), (0.0, 15 / 16),
+                                  (0.0, -15 / 16), (7 / 8, -1 / 2), (-7 / 8, 1 / 2)])
+        got = beta_global(space, [0.5000000000001], Budget(resolution=0.05)).values[0]
+        assert got.upper > 0.0
+        assert beta._exact_pins(space, 0.5) == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_pins_do_not_decrease_in_t(self, seed):
+        space = _rational_polygon(seed)
+        for t in (0.3, 1.0 / 3.0, 0.5000000000001, 0.7, 0.1 + 0.2):
+            assert beta._exact_pins(space, np.nextafter(t, 1.0)) >= beta._exact_pins(space, t)
 
     @pytest.mark.parametrize("name", ["l1-2d", "square-rot", "linf-2d"])
     def test_stops_at_the_first_zero(self, name, monkeypatch):

@@ -13,7 +13,8 @@ from ballmoduli import (Bracket, Budget, Slice, beta_point, beta_sup,
                         slice_diameter, support_functional, weighted_lp_space,
                         witness_functional)
 from ballmoduli import oracle
-from ballmoduli.exactpoly import Polygon
+from ballmoduli.denting import _convexity_grid, _flat_threshold
+from ballmoduli.exactpoly import Polygon, _min_of_max_affine
 from ballmoduli.gridutil import sharp_equiv_constants, sphere_grid
 from ballmoduli.slices import _distance_to_hull, _max_pair
 from ballmoduli.spaces import _norm_array, _support_array
@@ -211,7 +212,8 @@ def _all_pairs_delta(space, grid, t):
 
 
 def _engine_delta(space, t, res):
-    b = modulus_convexity(space, t, Budget(resolution=res))
+    """modulus_convexity's grid search, which a polygon skips for t <= D."""
+    b = _convexity_grid(space, t, Budget(resolution=res))
     return b.lower, b.upper
 
 
@@ -254,6 +256,55 @@ class TestPlanePairScans:
     def test_delta_at_t2_on_odd_grid(self, space, k):
         res, grid = _grid_of_size(space, 2 * k + 1)
         assert _engine_delta(space, 2.0, res) == _all_pairs_delta(space, grid, 2.0)
+
+
+class TestFlatThreshold:
+    """delta(t) = 0 exactly up to D, the longest own-norm edge of a polygon."""
+
+    @given(rational_polygons(), st.integers(1, 16))
+    @settings(max_examples=40, deadline=None)
+    def test_threshold_against_oracle_and_grid(self, poly, k):
+        space = polyhedral_space([_floats(v) for v in poly.vertices])
+        exact = oracle.to_polygon(space)
+        D = _flat_threshold(space)
+        assert D == max(exact.gauge((w[0] - v[0], w[1] - v[1])) for v, w in exact.edges())
+        budget = Budget(resolution=1.5e-2)
+        t = float(D) * k / 16
+        if Fraction(t) <= D:
+            assert modulus_convexity(space, t, budget) == Bracket.exact(0.0)
+            # the certified grid bracket agrees with the exact zero
+            assert _convexity_grid(space, t, budget).lower == 0.0
+        above = float(np.nextafter(float(D), 3.0))
+        assume(above <= 2.0)
+        got = modulus_convexity(space, above, budget)
+        assert got.method == "grid-certified"
+        assert got == _convexity_grid(space, above, budget)
+
+
+class TestMinOfMaxAffine:
+    @staticmethod
+    def _all_crossings(consts, slopes, lo, hi):
+        """The envelope's minimum over lo, hi and every crossing in between."""
+        cands = {lo, hi}
+        for i in range(len(consts)):
+            for j in range(i + 1, len(consts)):
+                if slopes[i] != slopes[j]:
+                    s = (consts[j] - consts[i]) / (slopes[i] - slopes[j])
+                    if lo < s < hi:
+                        cands.add(s)
+        return min(max(c + s * k for c, k in zip(consts, slopes)) for s in cands)
+
+    @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+                    min_size=1, max_size=12),
+           st.integers(-30, 30), st.integers(0, 30), st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_envelope_walk_equals_all_crossings(self, lines, lo, width, den):
+        consts = [Fraction(c, den) for c, _ in lines]
+        slopes = [Fraction(k, 3) for _, k in lines]
+        lo, hi = Fraction(lo, 4), Fraction(lo + width, 4)
+        got = _min_of_max_affine(consts, slopes, lo, hi)
+        assert got == self._all_crossings(consts, slopes, lo, hi)
+        assert isinstance(got, Fraction)
 
 
 def _euclidean_hull_distance(V):

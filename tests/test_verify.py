@@ -73,6 +73,12 @@ class TestSuiteRuns:
         assert report.flags["l1-2d"] == "MIP: violated"
         assert report.flags["l2-2"] == "MIP: positive"
 
+    def test_mip_detect_never_calls_a_polytope_positive(self):
+        # (1, 0) is a vertex of linf-2d's dual ball, so the flat-face witness
+        # fails there; a polytope still never has MIP
+        report = run_suite("mip-detect", spaces=["linf-2d"])
+        assert report.flags["linf-2d"] == "MIP: undetermined"
+
     def test_lpsum_suite_small(self):
         report = run_suite("lpsum", n_pairs=100)
         assert report.ok and report.config["space"] == "l2sum-4"

@@ -14,17 +14,17 @@ its method tag, every norm value and every functional coordinate:
   pairs, beta and beta-sup at the default budget, and the oracle's
   brute-force d bracket, on the 2-D spaces;
 - beta-global at t = 0.3 and 0.7, at resolution 4e-2 on lp:1.5, lp:3 and
-  the weighted lp:3 plane, at 0.2 on l1-2d and square-rot, at 0.45 on
-  lp:1.5-3d and lp:3-3d and at 0.6 on l1-3d, and beta-sup
-  at 5e-3 on the three polygon presets, with f at a vertex and at an edge
-  midpoint of the dual ball, and on lp:1.5, the weighted lp:3 plane and
-  ``poly2d:6`` and ``poly2d:8`` (the first seeded rational polygons of 6
-  and 8 vertices that the sign tests' generator draws from seed 0), with f
-  in the lower half-plane;
+  the weighted lp:3 plane, at 0.2 on l1-2d, square-rot, ``poly2d:6`` and
+  ``poly2d:8`` (the first seeded rational polygons of 6 and 8 vertices
+  that the sign tests' generator draws from seed 0), at 0.45 on lp:1.5-3d
+  and lp:3-3d and at 0.6 on l1-3d, and beta-sup at 5e-3 on the three
+  polygon presets, with f at a vertex and at an edge midpoint of the dual
+  ball, and on lp:1.5, the weighted lp:3 plane, ``poly2d:6`` and
+  ``poly2d:8``, with f in the lower half-plane;
 - primal and dual slice diameters at resolutions 5e-3 and 1.5e-3 and
   thresholds 0.002, 0.3, 0.6 and 0.999 on the six 2-D presets, and the
   modulus of convexity at t = 0.3, 1, 1.7 and 2 and resolutions 2e-2 and
-  1.5e-3 on the 2-D spaces;
+  1.5e-3 on the 2-D spaces, ``poly2d:6`` and ``poly2d:8``;
 - ``construct_separating_ball``'s radius, d, gamma and eta on the disk
   instance of the slice-geometry workload (C fixed inside its drawn
   ranges), on an lp:3 plane and on a single point;
@@ -46,9 +46,11 @@ its method tag, every norm value and every functional coordinate:
 ``diff`` prints the number of values compared, the largest absolute
 difference overall, the number of differing values and their largest
 difference per kind of call (the first word of its key) where any differ,
-and the calls whose method tags differ (a call that raised ``BudgetError``
-is tagged so), then the number of paths at which the suite reports and the
-battery output differ as parsed JSON; it exits 1 if the call lists differ.
+how many of the calls that return a bracket in both dumps narrowed and
+which widened (a lower end fell or an upper end rose), the calls whose
+method tags differ (a call that raised ``BudgetError`` is tagged so), then
+the number of paths at which the suite reports and the battery output
+differ as parsed JSON; it exits 1 if the call lists differ.
 """
 
 from __future__ import annotations
@@ -178,7 +180,8 @@ def _slice_s_beta(bm):
 
 def _beta_scans(bm):
     for name, res in (("lp:1.5-2d", 4e-2), ("lp:3-2d", 4e-2), ("weighted:3:1,2", 4e-2),
-                      ("l1-2d", 0.2), ("square-rot", 0.2), ("lp:1.5-3d", 0.45),
+                      ("l1-2d", 0.2), ("square-rot", 0.2), ("poly2d:6", 0.2),
+                      ("poly2d:8", 0.2), ("lp:1.5-3d", 0.45),
                       ("lp:3-3d", 0.45), ("l1-3d", 0.6)):
         sp = _space(bm, name)
         for t in (0.3, 0.7):
@@ -212,7 +215,7 @@ def _pair_scans(bm):
                        lambda: bm.slice_diameter(sp, bm.Slice.of(f, alpha), budget))
                 yield (f"slice_diameter {name} {alpha} dual {res}",
                        lambda: bm.slice_diameter(sp, bm.Slice.of(x, alpha, "dual"), budget))
-    for name in SPACES_2D:
+    for name in SPACES_2D + ["poly2d:6", "poly2d:8"]:
         sp = _space(bm, name)
         for res in (2e-2, 1.5e-3):
             for t in (0.3, 1.0, 1.7, 2.0):
@@ -327,6 +330,27 @@ def _json_diffs(a, b, path=""):
     return [] if a == b else [path]
 
 
+BRACKET_TAGS = ("grid-certified", "multistart", "exact")
+
+
+def _moved_brackets(a, b) -> tuple[int, list[str]]:
+    """(number of narrowed brackets, keys of the widened ones) over the
+    calls that returned a bracket in both dumps.  A bracket widened when its
+    lower end fell or its upper end rose, and narrowed when neither did and
+    one end moved inward."""
+    narrowed, widened = 0, []
+    for key, ua in a["values"].items():
+        ub = b["values"][key]
+        tags = a["methods"].get(key), b["methods"].get(key)
+        if len(ua) != 2 or len(ub) != 2 or not all(t in BRACKET_TAGS for t in tags):
+            continue
+        if ub[0] < ua[0] or ub[1] > ua[1]:
+            widened.append(key)
+        elif ub != ua:
+            narrowed += 1
+    return narrowed, widened
+
+
 def diff(path_a: str, path_b: str) -> int:
     with open(path_a) as fh:
         a = json.load(fh)
@@ -353,6 +377,9 @@ def diff(path_a: str, path_b: str) -> int:
     for kind, (d, count) in per_kind.items():
         if count:
             print(f"  {kind}: {count} values differ, max |delta| = {d:.3g}")
+    narrowed, widened = _moved_brackets(a, b)
+    print(f"{narrowed} brackets narrowed, {len(widened)} widened"
+          + "".join(f"\n  widened: {k} {va[k]} -> {vb[k]}" for k in widened))
     tags = [k for k in a["methods"] if a["methods"][k] != b["methods"].get(k)]
     print(f"{len(a['methods'])} method tags, {len(tags)} differ"
           + (f": {tags}" if tags else ""))
