@@ -201,6 +201,34 @@ def _all_pairs_min(space: SpaceDescriptor, pts: np.ndarray, taus, max_evals: int
 # -- kernel scans for the s-modulus ----------------------------------------
 
 
+# the exactly-feasible ring of a kernel in basis coefficients: the two
+# points +-1 of the kernel line in the plane, 720 angles of the circle in 3-D
+_LINE_RING = np.array([[1.0], [-1.0]])
+_ANGLES = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+_CIRCLE_RING = np.stack([np.cos(_ANGLES), np.sin(_ANGLES)], axis=-1)
+
+
+def _kernel_axis(space: SpaceDescriptor, t: float, res: float):
+    """(c, slack): the coefficient axis of ``_kernel_mins``' kernel grid and
+    the grid's slack C step sqrt(dim - 1)/2 (``_kernel_mins`` states both)."""
+    eq = sharp_equiv_constants(space)
+    R = (2.0 + t / 4.0) / eq.c * 1.05
+    n_c = int(math.ceil(2.0 * R / max(res / eq.C, 1e-9))) + 1
+    c = np.linspace(-R, R, n_c)
+    return c, eq.C * (c[1] - c[0]) * math.sqrt(space.dim - 1) / 2.0
+
+
+def _kernel_bases(F: np.ndarray):
+    """(bases, ring) for the rows f of an (n, dim) array F: a
+    Euclid-orthonormal basis of each ker f, as (n, dim - 1, dim) (f rotated
+    by 90 degrees in the plane, ``kernel_frame`` in 3-D), and the
+    exactly-feasible ring's directions in basis coefficients."""
+    if F.shape[1] == 2:
+        V = np.stack([-F[:, 1], F[:, 0]], axis=-1)
+        return (V / np.linalg.norm(V, axis=-1, keepdims=True))[:, None, :], _LINE_RING
+    return _kernel_frames(F), _CIRCLE_RING
+
+
 def _kernel_mins(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray,
                  t: float, res: float, max_evals: int,
                  r_tight: Optional[float] = None, ring_only: bool = False):
@@ -239,22 +267,15 @@ def _kernel_mins(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray,
     arrays are freed before the next chunk is built; holding them across
     the loop would put two full chunks in memory at once.
     """
-    eq = sharp_equiv_constants(space)
     r0, hi = t / 4.0, 2.0 + t / 4.0
-    R = hi / eq.c * 1.05
-    n_c = int(math.ceil(2.0 * R / max(res / eq.C, 1e-9))) + 1
-    c = np.linspace(-R, R, n_c)
+    c, slack = _kernel_axis(space, t, res)
+    n_c = len(c)
+    bases, ring = _kernel_bases(F)
     if space.dim == 2:
-        V = np.stack([-F[:, 1], F[:, 0]], axis=-1)
-        bases = (V / np.linalg.norm(V, axis=-1, keepdims=True))[:, None, :]
         grid = c[:, None]
-        ring = np.array([[1.0], [-1.0]])
     else:
-        bases = _kernel_frames(F)
         grid = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
-        th = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-        ring = np.stack([np.cos(th), np.sin(th)], axis=-1)[::8 if ring_only else 1]
-    slack = eq.C * (c[1] - c[0]) * math.sqrt(grid.shape[1]) / 2.0
+        ring = ring[::8 if ring_only else 1]
     n_grid, grid = len(grid), grid[:0] if ring_only else grid
 
     def scan(B: np.ndarray, x: np.ndarray):
@@ -399,13 +420,107 @@ def _d_lower_cheap(space: SpaceDescriptor, X: np.ndarray, t: float,
     return _d_point_bounds(space, X, extra, t, res_i, max_evals)[0]
 
 
+# rounding margin of the ring floors, as ``beta._MARGIN`` of the beta scans
+_FLOOR_MARGIN = 1e-12
+_FIRST_CHUNK = 16  # least number of base points per full scan
+
+
+def _ring_floors(space: SpaceDescriptor, X: np.ndarray, F: np.ndarray,
+                 t: float, res: float) -> np.ndarray:
+    """A lower bound LB(x) on ``_d_lower_cheap(space, x, t, res, max_evals,
+    n_extra=0)`` for each row x of X, whose norming functional is the
+    matching row f of F, from the ring of ker f at radius
+    r' = max(t/4 - slack, 0) alone (slack the kernel grid's, ``_kernel_axis``).
+
+    That value is max(0, m(x) - 1 - slack), with m(x) the least ||x + y||
+    over the kernel grid points with ||y|| >= t/4 - slack (truncated above)
+    and the exactly-feasible ring ||y|| = t/4 (``_kernel_mins``): points y
+    of ker f with ||y|| >= r'.  For y in ker f, ||x + y|| >= f(x)/||f||*, so
+    g(y) = ||x + y|| has g(0) <= g(y) + eta with
+    eta = max(0, ||x|| - f(x)/||f||*).  g is convex, so for ||y|| >= r' the
+    point z = lam y, lam = r'/||y|| in [0, 1], of the ring ||z|| = r' has
+    g(z) <= lam g(y) + (1 - lam) g(0) <= g(y) + (1 - lam) eta, that is
+    g(y) >= g(z) - eta.  In the plane the ring is the two points
+    +-r' v/||v|| of the kernel line, so m(x) >= min over them of g - eta.
+    In 3-D the ring is a circle, sampled as in ``_kernel_mins`` at
+    z_k = r' u_k/||u_k|| for 720 equally spaced unit vectors u_k of the
+    basis circle.  By the monotonicity lemma for normed planes
+    (``gridutil.sphere_grid``) a ring point between two consecutive
+    samples is within their distance of the first, and
+    ||a/||a|| - b/||b|||| <= 2 ||a - b||/||a|| with ||a - b|| <= C |a - b|_2,
+    so every ring point is within gap = 4 r' C sin(pi/720) / min_k ||u_k||
+    of a sample, and m(x) >= min over the samples of g - eta - gap.  Hence
+
+        LB(x) = max(0, min over the ring samples of ||x + z||
+                       - 1 - eta - slack - gap - margin),
+
+    with gap = 0 in the plane, and a margin of 1e-12 for the rounding of
+    the points (each kernel point lies within an ulp of ker f) and norms.
+
+    Where r' <= slack, min over the ring of ||x + z|| <= ||x|| + r' puts
+    every LB(x) within the rounding of ||x|| - 1 of 0, so the ring is not
+    read and every floor is 0, a floor of every (clamped) value.
+    """
+    _, slack = _kernel_axis(space, t, res)
+    r = max(t / 4.0 - slack, 0.0)
+    if r <= slack:
+        return np.zeros(len(X))
+    eta = np.maximum(_norm_array(space, X) - np.sum(F * X, axis=1)
+                     / _norm_array(polar_space(space), F), 0.0)
+    ring_min = np.empty(len(X))
+    C = sharp_equiv_constants(space).C
+    for i in range(0, len(X), 256):  # at most 256 x 720 ring points at a time
+        bases, ring = _kernel_bases(F[i:i + 256])
+        U = ring @ bases
+        w = _norm_array(space, U)
+        Z = (r / w)[..., None] * U
+        ring_min[i:i + 256] = np.min(_norm_array(space, X[i:i + 256, None, :] + Z), axis=1)
+        if space.dim > 2:  # gap, from the chord 2 sin(pi/720) of the basis circle
+            ring_min[i:i + 256] -= 4.0 * r * C * math.sin(math.pi / 720) / np.min(w, axis=1)
+    return np.maximum(ring_min - 1.0 - eta - slack - _FLOOR_MARGIN, 0.0)
+
+
+def _least_d_lower(space: SpaceDescriptor, X: np.ndarray, t: float,
+                   res_i: float, max_evals: int) -> tuple[float, int]:
+    """(least value, first index of it) of ``_d_lower_cheap(space, X, t,
+    res_i, max_evals, n_extra=0)``, scanning in full only the rows that
+    can hold it.
+
+    Each row's value is at least its ring floor LB(x) (``_ring_floors``).
+    The rows are scanned in full in increasing (LB, index) order, each
+    chunk 16 rows or a quarter of the rows scanned so far, whichever is
+    more, so that past 64 rows at most a quarter more rows than needed
+    are read.  The scan stops at the first row whose (LB, index) exceeds
+    the (least value, index) found so far: every row after it has
+    (value, index) >= (LB, index) above that pair too, so the least value
+    and its first index are those of the full scan.  Each row's value is
+    its ``_kernel_mins`` lower minimum clamped at 0, as in
+    ``_d_point_bounds``, whatever rows share its call.
+    """
+    F = _support_array(space, X / _norm_array(space, X)[:, None])
+    floors = _ring_floors(space, X, F, t, res_i)
+    order = np.argsort(floors, kind="stable")
+    best, i_best = math.inf, -1
+    done, size = 0, _FIRST_CHUNK
+    while done < len(X) and (floors[order[done]], order[done]) < (best, i_best):
+        idx = order[done:done + size]
+        lo, _ = _kernel_mins(space, X[idx], F[idx], t, res_i, max_evals)
+        vals = np.maximum(lo, 0.0)
+        k = np.lexsort((idx, vals))[0]
+        best, i_best = min((best, i_best), (float(vals[k]), int(idx[k])))
+        done += size
+        size = max(_FIRST_CHUNK, done // 4)
+    return best, i_best
+
+
 def d_global(space: SpaceDescriptor, t: float,
              budget: Optional[Budget] = None) -> Bracket:
     """Certified bracket for d(t) = inf over unit x of d(x, t).
 
     d(., t) is 1-Lipschitz on the sphere (the defining infimum shifts by at
     most ||x - x'||), so a covering grid certifies the lower bound; any
-    single x certifies the upper bound through its full d_point bracket.
+    single x certifies the upper bound through its full d_point bracket,
+    taken at the grid point of least lower bound (``_least_d_lower``).
     """
     if not (0.0 < t < 2.0):
         raise DomainError(f"d modulus needs 0 < t < 2, got {t}")
@@ -413,10 +528,8 @@ def d_global(space: SpaceDescriptor, t: float,
     res_x = _resolution(budget, 2e-3, 0.12, space.dim)
     res_i = _resolution(budget, 1.5e-3, 0.05, space.dim)
     grid = sphere_grid(space, res_x)
-    lows = _d_lower_cheap(space, grid.points, t, res_i, budget.max_evals,
-                          n_extra=0)
-    i_best = int(np.argmin(lows))
-    lower = max(0.0, float(lows[i_best]) - grid.covering)
+    low, i_best = _least_d_lower(space, grid.points, t, res_i, budget.max_evals)
+    lower = max(0.0, low - grid.covering)
     upper = d_point(space, grid.points[i_best], t, budget).upper
     return Bracket(lower=lower, upper=upper, method=GRID,
                    resolution=res_x, lipschitz=1.0)

@@ -162,15 +162,32 @@ def edge_diameter(ball: Polygon) -> Fraction:
 
 
 def _far_set_candidates(dual_ball: Polygon, f: Vec, t: Fraction) -> list[Vec]:
-    """Extreme candidates of {g in dual ball : ||f-g|| >= t} (dual-ball norm).
+    """Extreme candidates of {g in dual ball : ||f-g|| >= t} (dual-ball norm):
+    the dual ball's vertices in the set, the vertices of f + t B* in the
+    dual ball, and the crossings of the two boundaries.
+
+    Only edges that can cross at another point are intersected.  A dual
+    edge with both ends strictly inside f + t B* lies strictly inside it
+    (convexity) and meets its boundary nowhere.  An edge of f + t B* with
+    both ends in the dual ball lies in it, so a dual edge not parallel to
+    it meets it at one of its ends, or, where it runs along the dual
+    boundary, at a dual vertex on the boundary of f + t B*: both are
+    candidates already.
 
     f + t B* stays a vertex list: it need not have the origin inside, as a
     ``Polygon`` must."""
+    n = len(dual_ball.vertices)
     Q = [(f[0] + t * v[0], f[1] + t * v[1]) for v in dual_ball.vertices]
-    cand = [v for v in dual_ball.vertices if dual_ball.gauge(sub(v, f)) >= t]
-    cand += [w for w in Q if dual_ball.contains(w)]
-    for p, q in dual_ball.edges():
-        for r, s in zip(Q, Q[1:] + Q[:1]):
+    far = [dual_ball.gauge(sub(v, f)) >= t for v in dual_ball.vertices]
+    held = [dual_ball.contains(w) for w in Q]
+    cand = [v for v, keep in zip(dual_ball.vertices, far) if keep]
+    cand += [w for w, keep in zip(Q, held) if keep]
+    q_edges = [(Q[i], Q[(i + 1) % n]) for i in range(n)
+               if not (held[i] and held[(i + 1) % n])]
+    for i, (p, q) in enumerate(dual_ball.edges()):
+        if not (far[i] or far[(i + 1) % n]):
+            continue
+        for r, s in q_edges:
             pt = _segment_intersection(p, q, r, s)
             if pt is not None:
                 cand.append(pt)

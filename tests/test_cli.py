@@ -72,6 +72,17 @@ class TestCompute:
                       "--modulus", "delta", "--t", "1", "--budget", "100")
         assert code == 3
 
+    def test_3d_delta_default_budget_exits_3(self, capsys):
+        # 3-D delta compares all pairs of the sphere grid, 10242^2 on l2-3 at
+        # the default resolution; a coarser grid returns a bracket
+        args = ("compute", "--space", "l2-3", "--modulus", "delta", "--t", "0.5")
+        code, _ = run(capsys, *args)
+        assert code == 3
+        code, out = run(capsys, *args, "--resolution", "0.3")
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert 0.0 <= float(row["lower"]) <= float(row["upper"])
+
 
 class TestSweep:
     def test_delta_sweep_monotone(self, capsys):

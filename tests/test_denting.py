@@ -8,6 +8,7 @@ from ballmoduli import (Budget, BudgetError, DomainError, d_global, d_point, d_s
                         modulus_convexity, polar_space, polyhedral_space, preset,
                         s_point, s_star, weighted_lp_space)
 from ballmoduli import denting
+from ballmoduli.config import resolve
 from ballmoduli.gridutil import lowdisc_sphere, sharp_equiv_constants, sphere_grid
 from ballmoduli.spaces import _norm_array, _support_array
 
@@ -147,6 +148,31 @@ def _seeded_polygon(seed: int):
     return polyhedral_space(np.vstack([half, -half]).tolist())
 
 
+def _rational_polygon(seed: int):
+    """A symmetric polygon with 10 vertices on the 1/16 grid (seeded)."""
+    rng = np.random.default_rng(seed)
+    angles = np.sort(rng.uniform(0.0, math.pi, 5))
+    radii = rng.integers(12, 17, 5)
+    half = np.stack([np.round(radii * np.cos(angles)),
+                     np.round(radii * np.sin(angles))], axis=-1) / 16.0
+    return polyhedral_space(np.vstack([half, -half]).tolist())
+
+
+def _unpruned_d_global(space, t, budget=None):
+    """``d_global``'s ends with the unpruned lower pass, and that pass's
+    values: ``_d_lower_cheap`` at every grid point, the least value and the
+    first grid point that has it."""
+    budget = resolve(budget)
+    res_x = denting._resolution(budget, 2e-3, 0.12, space.dim)
+    res_i = denting._resolution(budget, 1.5e-3, 0.05, space.dim)
+    grid = sphere_grid(space, res_x)
+    lows = denting._d_lower_cheap(space, grid.points, t, res_i, budget.max_evals,
+                                  n_extra=0)
+    i = int(np.argmin(lows))
+    return (max(0.0, float(lows[i]) - grid.covering),
+            d_point(space, grid.points[i], t, budget).upper), lows
+
+
 def _unpruned_bounds(space, X, F, t, res, max_evals, covering=None):
     """``_d_point_bounds`` without pruning: one ``_kernel_mins`` over every
     row (x, f) and (x, norming functional of x), maxima per x."""
@@ -278,6 +304,81 @@ class TestDGlobal:
         small = d_global(space, 0.7, Budget(resolution=4e-2, max_evals=500))
         full = d_global(space, 0.7, Budget(resolution=4e-2))
         assert (small.lower, small.upper) == (full.lower, full.upper)
+
+
+# name -> (space, budget resolutions)
+D_GLOBAL_SPACES = {
+    "lp:1.5-2d": (lambda: preset("lp:1.5-2d"), (4e-2, 2e-2)),
+    "lp:3-2d": (lambda: preset("lp:3-2d"), (4e-2, 2e-2)),
+    "weighted-l3": (lambda: weighted_lp_space(3.0, [1.0, 2.0]), (4e-2, 2e-2)),
+    "l1-2d": (lambda: preset("l1-2d"), (4e-2, 2e-2)),
+    "linf-2d": (lambda: preset("linf-2d"), (4e-2, 2e-2)),
+    "square-rot": (lambda: preset("square-rot"), (4e-2, 2e-2)),
+    "rational-0": (lambda: _rational_polygon(0), (4e-2, 2e-2)),
+    "rational-1": (lambda: _rational_polygon(1), (4e-2, 2e-2)),
+    "l2-3": (lambda: preset("l2-3"), (0.3,)),
+    "lp:1.5-3d": (lambda: preset("lp:1.5-3d"), (0.3,)),
+    "l1-3d": (lambda: preset("l1-3d"), (0.3,)),
+}
+
+
+class TestPrunedDGlobal:
+    """``d_global`` and ``d_star_global``, whose lower pass scans only the
+    grid points their ring floors cannot rule out, equal the unpruned pass
+    at both ends, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(D_GLOBAL_SPACES))
+    @pytest.mark.parametrize("t", [0.2, 0.9, 1.6, 1.95])
+    def test_equals_unpruned(self, name, t):
+        make, resolutions = D_GLOBAL_SPACES[name]
+        space = make()
+        for budget in (Budget(resolution=res) for res in resolutions):
+            got = d_global(space, t, budget)
+            assert (got.lower, got.upper) == _unpruned_d_global(space, t, budget)[0]
+            got = d_star_global(space, t, budget)
+            want = _unpruned_d_global(polar_space(space), t, budget)[0]
+            assert (got.lower, got.upper) == want
+
+    def test_every_value_clamped_takes_the_first_point(self):
+        # every lower-pass value is 0, so the first grid point is the argmin
+        space, budget = preset("lp:3-2d"), Budget(resolution=0.3)
+        for t in (0.2, 0.9, 1.6):
+            want, lows = _unpruned_d_global(space, t, budget)
+            assert np.all(lows == 0.0)
+            got = d_global(space, t, budget)
+            assert (got.lower, got.upper) == want
+
+    def test_default_budget_positive_lower_end(self):
+        space = preset("lp:1.5-2d")
+        got = d_global(space, 0.5)
+        assert (got.lower, got.upper) == _unpruned_d_global(space, 0.5)[0]
+        assert got.lower == pytest.approx(0.0011529604028817555, abs=1e-12)
+        assert got.upper == pytest.approx(0.012947020256213327, abs=1e-12)
+
+    def test_scans_few_points(self, monkeypatch):
+        # on a smooth norm that is not Euclidean the floors rule out most
+        # of the grid; on l2-2 every point ties and nothing is ruled out
+        rows, kernel_mins = [], denting._kernel_mins
+        monkeypatch.setattr(denting, "_kernel_mins",
+                            lambda space, xs, *a, **k: rows.append(len(xs))
+                            or kernel_mins(space, xs, *a, **k))
+        budget = Budget(resolution=4e-2)
+        for name, t in (("lp:1.5-2d", 0.9), ("l2-2", 0.9)):
+            space = preset(name)
+            n = len(sphere_grid(space, 4e-2).points)
+            rows.clear()
+            denting._least_d_lower(space, sphere_grid(space, 4e-2).points, t, 4e-2,
+                                   budget.max_evals)
+            assert (sum(rows) < n // 4) == (name == "lp:1.5-2d")
+
+    def test_budget_error_as_unpruned(self):
+        # one row's kernel grid over max_evals refuses the scan either way
+        space, t, res = preset("lp:1.5-2d"), 0.9, 4e-2
+        budget = Budget(resolution=res, max_evals=10)
+        with pytest.raises(BudgetError):
+            d_global(space, t, budget)
+        with pytest.raises(BudgetError):
+            _unpruned_d_global(space, t, budget)
 
 
 class TestDualFamily:

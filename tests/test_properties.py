@@ -8,14 +8,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ballmoduli import (Bracket, Budget, Slice, beta_point, beta_sup,
-                        d_star_zero, dual_norm, duality_preimage, modulus_convexity,
-                        norm, pairing, polar_space, polyhedral_space, preset, s_point,
-                        slice_diameter, support_functional, weighted_lp_space,
-                        witness_functional)
-from ballmoduli import oracle
-from ballmoduli.denting import _convexity_grid, _flat_threshold
+                        d_star_zero, dual_norm, duality_preimage, lp_space,
+                        modulus_convexity, norm, pairing, polar_space, polyhedral_space,
+                        preset, s_point, slice_diameter, support_functional,
+                        weighted_lp_space, witness_functional)
+from ballmoduli import exactpoly, oracle
+from ballmoduli.denting import (_convexity_grid, _d_lower_cheap, _flat_threshold,
+                                _ring_floors)
 from ballmoduli.exactpoly import Polygon, _min_of_max_affine
-from ballmoduli.gridutil import sharp_equiv_constants, sphere_grid
+from ballmoduli.gridutil import lowdisc_sphere, sharp_equiv_constants, sphere_grid
 from ballmoduli.slices import _distance_to_hull, _max_pair
 from ballmoduli.spaces import _norm_array, _support_array
 
@@ -305,6 +306,71 @@ class TestMinOfMaxAffine:
         got = _min_of_max_affine(consts, slopes, lo, hi)
         assert got == self._all_crossings(consts, slopes, lo, hi)
         assert isinstance(got, Fraction)
+
+
+class TestFarSetCandidates:
+    @staticmethod
+    def _all_crossings(dual_ball, f, t):
+        """The far set's candidates from every dual edge crossed with every
+        edge of f + t B*."""
+        Q = [(f[0] + t * v[0], f[1] + t * v[1]) for v in dual_ball.vertices]
+        cand = [v for v in dual_ball.vertices if dual_ball.gauge(exactpoly.sub(v, f)) >= t]
+        cand += [w for w in Q if dual_ball.contains(w)]
+        for p, q in dual_ball.edges():
+            for r, s in zip(Q, Q[1:] + Q[:1]):
+                pt = exactpoly._segment_intersection(p, q, r, s)
+                if pt is not None:
+                    cand.append(pt)
+        return cand
+
+    @given(rational_polygons(), st.integers(0, 7), st.integers(0, 16),
+           st.integers(1, 32))
+    @settings(max_examples=200, deadline=None)
+    def test_same_candidates_as_all_crossings(self, poly, i, k, m):
+        # the edges skipped cross only at candidates already listed, so the
+        # candidate set, and every beta value read from it, is the same
+        dual = poly.polar()
+        f = _edge_point(dual, i, Fraction(k, 16))
+        t = Fraction(m, 16)
+        got = exactpoly._far_set_candidates(dual, f, t)
+        want = self._all_crossings(dual, f, t)
+        assert set(got) == set(want)
+
+
+@st.composite
+def floor_spaces(draw):
+    """An lp space in 2-D or 3-D, 1.05 <= p <= 8, a weighted lp plane, a
+    rational polygon, or a 3-D polytope preset."""
+    kind = draw(st.sampled_from(["lp", "weighted", "polygon", "polytope"]))
+    if kind == "lp":
+        return lp_space(draw(st.sampled_from([2, 3])), draw(st.floats(1.05, 8.0)))
+    if kind == "weighted":
+        weights = draw(st.lists(st.floats(0.25, 4.0), min_size=2, max_size=2))
+        return weighted_lp_space(draw(st.floats(1.05, 8.0)), weights)
+    if kind == "polygon":
+        poly = draw(rational_polygons())
+        return polyhedral_space([_floats(v) for v in poly.vertices])
+    return preset(draw(st.sampled_from(["l1-3d", "linf-3d"])))
+
+
+class TestRingFloors:
+    @given(floor_spaces(), st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+           st.sampled_from([0.25, 0.5, 1.0]))
+    # 3-D cases whose floors are positive at every point
+    @example(lp_space(3, 1.5), 1.9, 0.25)
+    @example(preset("l2-3"), 1.9, 0.5)
+    @settings(max_examples=60, deadline=None)
+    def test_floor_below_the_lower_pass_value(self, space, t, scale):
+        # d_global's lower pass prunes with these floors; each must lie
+        # below its grid point's full value (kernel resolution 4e-2 x scale
+        # in the plane, 0.15 x scale in 3-D)
+        res = (4e-2 if space.dim == 2 else 0.15) * scale
+        X = (sphere_grid(space, 0.3).points if space.dim == 2
+             else lowdisc_sphere(space, 24))
+        F = _support_array(space, X / _norm_array(space, X)[:, None])
+        floors = _ring_floors(space, X, F, t, res)
+        values = _d_lower_cheap(space, X, t, res, 10 ** 9, n_extra=0)
+        assert np.all(floors <= values)
 
 
 def _euclidean_hull_distance(V):

@@ -10,6 +10,9 @@ its method tag, every norm value and every functional coordinate:
   budgets on 2-D and 3-D presets (the 3-D ones at the 0.3 cover budget),
   and d*-global, d*0 and d*0-global on the 2-D ones, d*0 also at
   t = 0.01, where its interior sample is mostly empty;
+- d_global and d*-global on lp:1.5 and square-rot at the default budget
+  (t = 0.5 and 1.2) and at resolution 2e-2 (t = 1.6 and 1.95): positive
+  lower ends, and upper ends taken at the grid point of least lower bound;
 - primal and dual slice diameters, s and s* at norming and at generic
   pairs, beta and beta-sup at the default budget, and the oracle's
   brute-force d bracket, on the 2-D spaces;
@@ -152,6 +155,14 @@ def _d_family(bm):
             yield f"d_star_zero {name} 0.01", lambda: bm.d_star_zero(sp, f, 0.01, cover)
             yield f"d_star_zero_global {name} 0.2", lambda: bm.d_star_zero_global(
                 sp, 0.2, cover)
+    for name in ("lp:1.5-2d", "square-rot"):
+        sp = _space(bm, name)
+        for budget, label, ts in ((None, "default", (0.5, 1.2)),
+                                  (bm.Budget(resolution=2e-2), "2e-2", (1.6, 1.95))):
+            for t in ts:
+                yield f"d_global {name} {t} {label}", lambda: bm.d_global(sp, t, budget)
+                yield f"d_star_global {name} {t} {label}", lambda: bm.d_star_global(
+                    sp, t, budget)
 
 
 def _slice_s_beta(bm):
