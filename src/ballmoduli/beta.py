@@ -22,8 +22,8 @@ from .config import Budget, resolve
 from .denting import _resolution
 from .errors import DomainError
 from .gridutil import _covering_runs, sphere_grid
-from .spaces import (SpaceDescriptor, duality_preimage, exact_vertices, lp_space,
-                     polar_space, _norm_array, _support_array, _unit_coords)
+from .spaces import (SpaceDescriptor, duality_preimage, lp_space, polar_space,
+                     _exact_polygon, _norm_array, _support_array, _unit_coords)
 
 
 def is_euclidean(space: SpaceDescriptor) -> bool:
@@ -322,7 +322,7 @@ def _beta_global_single(space: SpaceDescriptor, t: float, budget: Budget) -> Bra
     W = polar_space(space)
     exact_2d = space.kind == "polyhedral" and space.dim == 2
     res_f = _resolution(budget, 0.05 if exact_2d else 0.02, 0.15, W.dim)
-    upper = _exact_pins(space, t) if exact_2d else math.inf
+    upper = _exact_pins(space, t)
     if upper == 0.0:
         return Bracket(lower=0.0, upper=0.0, method=GRID, resolution=res_f, lipschitz=1.0)
     fgrid = sphere_grid(W, res_f)
@@ -341,14 +341,16 @@ def _beta_global_single(space: SpaceDescriptor, t: float, budget: Budget) -> Bra
 
 def _exact_pins(space: SpaceDescriptor, t: float) -> float:
     """The least exact beta(g, t') over the dual-sphere vertices and edge
-    midpoints of the 2-D polygon of ``exact_vertices`` (coordinates rounded
-    by ``limit_denominator(10**12)``), where t' is the least k / 10^12 at or
-    above t: each g is a genuine unit functional and beta(g, .) does not
+    midpoints of the descriptor's own polygon (``spaces._exact_polygon``;
+    inf where that is None), where t' is the least k / 10^12 at or above
+    t: each g is a genuine unit functional and beta(g, .) does not
     decrease (its feasible set shrinks as t grows), so
     beta(t) <= beta(g, t) <= beta(g, t').  t' stays a short rational, and
     rounding t to the nearest one could put t' below t, where the value is
     no upper end.  beta(g, t') >= 0, so a zero ends the search."""
-    primal = exactpoly.Polygon(exact_vertices(space))
+    primal = _exact_polygon(space)
+    if primal is None:
+        return math.inf
     dual = primal.polar()
     t_exact = Fraction(math.ceil(Fraction(t) * 10 ** 12), 10 ** 12)
     n = len(dual.vertices)

@@ -21,8 +21,8 @@ from .bracket import GRID, Bracket
 from .config import Budget, resolve
 from .errors import BudgetError, DomainError
 from .gridutil import lowdisc_sphere, sharp_equiv_constants, sphere_grid
-from .spaces import (SpaceDescriptor, polar_space, _kernel_frames, _norm_array,
-                     _support_array, _unit_coords)
+from .spaces import (SpaceDescriptor, polar_space, _exact_polygon, _kernel_frames,
+                     _norm_array, _support_array, _unit_coords)
 
 
 def _resolution(budget: Budget, default2: float, default3: float, dim: int) -> float:
@@ -56,16 +56,10 @@ def modulus_convexity(space: SpaceDescriptor, t: float,
 @lru_cache(maxsize=256)
 def _flat_threshold(space: SpaceDescriptor) -> Optional[Fraction]:
     """D for a 2-D polygon, the largest own-norm length of an edge w - v,
-    on the polygon whose vertices are the descriptor's float vertices taken
-    exactly; None for any other space, and for a polygon whose float
-    vertices are not exactly symmetric (no norm ball).  Memoized on the
-    descriptor's value, as ``polar_space`` is."""
-    if space.kind != "polyhedral" or space.dim != 2:
-        return None
-    V = [(Fraction(x), Fraction(y)) for x, y in space.vertices]
-    if set(V) != {(-x, -y) for x, y in V}:
-        return None
-    return exactpoly.edge_diameter(exactpoly.Polygon(V))
+    on the descriptor's own polygon (``spaces._exact_polygon``); None where
+    that is None.  Memoized on the descriptor's value, as the polygon is."""
+    poly = _exact_polygon(space)
+    return None if poly is None else exactpoly.edge_diameter(poly)
 
 
 def _convexity_grid(space: SpaceDescriptor, t: float, budget: Budget) -> Bracket:

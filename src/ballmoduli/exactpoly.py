@@ -4,7 +4,8 @@ All geometry here is done with ``fractions.Fraction``: convex hulls,
 facet functionals, Minkowski functionals, halfplane clipping, and the
 finite enumerations behind the exact modulus values.  Distances between
 points of a polygonal ball are measured in the ball's own norm, so every
-exact value produced here is rational.
+exact value produced here is rational.  Inputs are rationals already:
+no float is converted here.
 """
 
 from __future__ import annotations
@@ -17,11 +18,6 @@ HalfPlane = tuple[Fraction, Fraction, Fraction]  # a1*x + a2*y <= b
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def frac_vec(v: Sequence) -> Vec:
-    return (Fraction(v[0]).limit_denominator(10 ** 12),
-            Fraction(v[1]).limit_denominator(10 ** 12))
 
 
 def cross(o: Vec, a: Vec, b: Vec) -> Fraction:
@@ -164,47 +160,25 @@ def edge_diameter(ball: Polygon) -> Fraction:
 def _far_set_candidates(dual_ball: Polygon, f: Vec, t: Fraction) -> list[Vec]:
     """Extreme candidates of {g in dual ball : ||f-g|| >= t} (dual-ball norm):
     the dual ball's vertices in the set, the vertices of f + t B* in the
-    dual ball, and the crossings of the two boundaries.
+    dual ball, and the points where the dual sphere crosses the boundary
+    of f + t B*.
 
-    Only edges that can cross at another point are intersected.  A dual
-    edge with both ends strictly inside f + t B* lies strictly inside it
-    (convexity) and meets its boundary nowhere.  An edge of f + t B* with
-    both ends in the dual ball lies in it, so a dual edge not parallel to
-    it meets it at one of its ends, or, where it runs along the dual
-    boundary, at a dual vertex on the boundary of f + t B*: both are
-    candidates already.
-
-    f + t B* stays a vertex list: it need not have the origin inside, as a
-    ``Polygon`` must."""
-    n = len(dual_ball.vertices)
+    Each dual edge is clipped once against f + t B*'s halfplanes
+    a.g <= t + a.f (a over the dual facets); a clipped end strictly inside
+    the edge lies on the boundary of f + t B*.  A chord of f + t B* meets
+    that boundary only at its ends, or runs along an edge of it and meets
+    the others at vertices of f + t B*: so every other crossing is a
+    vertex of one of the two polygons.  f + t B* need not have the origin
+    inside, as a ``Polygon`` must, so it stays vertices and halfplanes."""
     Q = [(f[0] + t * v[0], f[1] + t * v[1]) for v in dual_ball.vertices]
-    far = [dual_ball.gauge(sub(v, f)) >= t for v in dual_ball.vertices]
-    held = [dual_ball.contains(w) for w in Q]
-    cand = [v for v, keep in zip(dual_ball.vertices, far) if keep]
-    cand += [w for w, keep in zip(Q, held) if keep]
-    q_edges = [(Q[i], Q[(i + 1) % n]) for i in range(n)
-               if not (held[i] and held[(i + 1) % n])]
-    for i, (p, q) in enumerate(dual_ball.edges()):
-        if not (far[i] or far[(i + 1) % n]):
-            continue
-        for r, s in q_edges:
-            pt = _segment_intersection(p, q, r, s)
-            if pt is not None:
-                cand.append(pt)
+    cand = [v for v in dual_ball.vertices if dual_ball.gauge(sub(v, f)) >= t]
+    cand += [w for w in Q if dual_ball.contains(w)]
+    near = [(a1, a2, t + dot((a1, a2), f)) for a1, a2 in dual_ball.facets]
+    for p, q in dual_ball.edges():
+        for lam in segment_interval(p, q, near) or ():
+            if 0 < lam < 1:
+                cand.append((p[0] + lam * (q[0] - p[0]), p[1] + lam * (q[1] - p[1])))
     return cand
-
-
-def _segment_intersection(p: Vec, q: Vec, r: Vec, s: Vec) -> Optional[Vec]:
-    d1, d2 = sub(q, p), sub(s, r)
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    if den == 0:
-        return None
-    rp = sub(r, p)
-    t = (rp[0] * d2[1] - rp[1] * d2[0]) / den
-    u = (rp[0] * d1[1] - rp[1] * d1[0]) / den
-    if 0 <= t <= 1 and 0 <= u <= 1:
-        return (p[0] + t * d1[0], p[1] + t * d1[1])
-    return None
 
 
 def beta_point_exact(dual_ball: Polygon, f: Vec, x: Vec, t: Fraction) -> Fraction:

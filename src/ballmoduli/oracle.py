@@ -20,10 +20,9 @@ import numpy as np
 from .bracket import GRID, Bracket
 from .errors import BudgetError, DomainError
 from . import exactpoly
-from .exactpoly import Polygon, frac_vec
+from .exactpoly import Polygon
 from .gridutil import _icosphere, _max_circumradius
-from .spaces import (SpaceDescriptor, exact_vertices, polar_space,
-                     _dual_norm_array, _norm_array)
+from .spaces import SpaceDescriptor, polar_space, _dual_norm_array, _norm_array
 
 _MAX_EVALS = 100_000_000
 
@@ -210,10 +209,21 @@ def _g_slice(space, resolution, *, direction, alpha, ball_side="primal"):
 # -- exact rational path ----------------------------------------------------
 
 
+def _rational(c) -> Fraction:
+    """The oracle's one float-to-rational rule, nearest with denominator at
+    most 10^12: 0.6 becomes 3/5.  t may round below itself, so an exact
+    value is a reference, not a bound."""
+    return Fraction(c).limit_denominator(10 ** 12)
+
+
+def _frac_vec(v) -> tuple[Fraction, Fraction]:
+    return (_rational(v[0]), _rational(v[1]))
+
+
 def to_polygon(space: SpaceDescriptor) -> Polygon:
     if space.kind != "polyhedral" or space.dim != 2:
         raise DomainError("the exact path requires a 2-D polyhedral space")
-    return Polygon([tuple(v) for v in exact_vertices(space)])
+    return Polygon([_frac_vec(v) for v in space.vertices])
 
 
 def exact_slice_diameter(space: SpaceDescriptor, direction, alpha,
@@ -221,26 +231,21 @@ def exact_slice_diameter(space: SpaceDescriptor, direction, alpha,
     ball = to_polygon(space)
     if ball_side == "dual":
         ball = ball.polar()
-    return exactpoly.slice_diameter_exact(
-        ball, frac_vec(direction), Fraction(alpha).limit_denominator(10 ** 12))
+    return exactpoly.slice_diameter_exact(ball, _frac_vec(direction), _rational(alpha))
 
 
 def exact_beta_point(space: SpaceDescriptor, f, x, t) -> Fraction:
     dual = to_polygon(space).polar()
-    return exactpoly.beta_point_exact(
-        dual, frac_vec(f), frac_vec(x), Fraction(t).limit_denominator(10 ** 12))
+    return exactpoly.beta_point_exact(dual, _frac_vec(f), _frac_vec(x), _rational(t))
 
 
 def exact_beta_sup(space: SpaceDescriptor, f, t) -> Fraction:
     primal = to_polygon(space)
-    return exactpoly.beta_sup_exact(
-        primal, primal.polar(), frac_vec(f), Fraction(t).limit_denominator(10 ** 12))
+    return exactpoly.beta_sup_exact(primal, primal.polar(), _frac_vec(f), _rational(t))
 
 
 def exact_s_point(space: SpaceDescriptor, x, f, t) -> Fraction:
-    return exactpoly.s_point_exact(
-        to_polygon(space), frac_vec(x), frac_vec(f),
-        Fraction(t).limit_denominator(10 ** 12))
+    return exactpoly.s_point_exact(to_polygon(space), _frac_vec(x), _frac_vec(f), _rational(t))
 
 
 def _on_sphere(ball: Polygon, v) -> tuple[Fraction, Fraction]:
@@ -248,7 +253,7 @@ def _on_sphere(ball: Polygon, v) -> tuple[Fraction, Fraction]:
     The sign tests take their point through it: a float point of a sphere
     edge is off it by about an ulp, and just outside the ball d reads
     positive where it is 0 on the sphere."""
-    a = frac_vec(v)
+    a = _frac_vec(v)
     scale = ball.gauge(a)
     return (a[0] / scale, a[1] / scale)
 
@@ -256,15 +261,13 @@ def _on_sphere(ball: Polygon, v) -> tuple[Fraction, Fraction]:
 def exact_d_positive(space: SpaceDescriptor, x, t) -> bool:
     """Exact sign of d(x, t) on a 2-D polyhedral sphere: True iff positive."""
     ball = to_polygon(space)
-    return not exactpoly.denting_nonpositive(
-        ball, _on_sphere(ball, x), Fraction(t).limit_denominator(10 ** 12))
+    return not exactpoly.denting_nonpositive(ball, _on_sphere(ball, x), _rational(t))
 
 
 def exact_d_star_positive(space: SpaceDescriptor, f, t) -> bool:
     """Exact sign of d*(f, t): the same test on the polar polygon."""
     dual = to_polygon(space).polar()
-    return not exactpoly.denting_nonpositive(
-        dual, _on_sphere(dual, f), Fraction(t).limit_denominator(10 ** 12))
+    return not exactpoly.denting_nonpositive(dual, _on_sphere(dual, f), _rational(t))
 
 
 def exact_d_star_zero_is_zero(space: SpaceDescriptor, f, t) -> bool:
@@ -272,7 +275,7 @@ def exact_d_star_zero_is_zero(space: SpaceDescriptor, f, t) -> bool:
     of f on the dual sphere is w*-denting at scale t."""
     primal = to_polygon(space)
     return exactpoly.dstar_zero_nonpositive(
-        primal, _on_sphere(primal.polar(), f), Fraction(t).limit_denominator(10 ** 12))
+        primal, _on_sphere(primal.polar(), f), _rational(t))
 
 
 # -- the fixed oracle/engine battery ---------------------------------------

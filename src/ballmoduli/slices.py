@@ -100,8 +100,9 @@ def _max_pair(space: SpaceDescriptor, grid_points: np.ndarray,
     In the plane ``grid_points`` is a ``sphere_grid`` in angular order and
     the mask is one cyclic run of it (see the module docstring), or one run
     split by rounding on a flat face at the threshold; the scan covers the
-    shortest cyclic run holding every masked point.  Elsewhere every pair
-    is compared, in blocks of ``_PAIR_CHUNK`` rows.
+    shortest cyclic run holding every masked point.  Elsewhere each
+    unordered pair is compared once (||a - b|| = ||b - a|| in floating
+    point), in blocks of ``_PAIR_CHUNK`` rows against the rows from theirs on.
     """
     m = int(np.count_nonzero(mask))
     if m < 2:
@@ -111,7 +112,7 @@ def _max_pair(space: SpaceDescriptor, grid_points: np.ndarray,
     pts = grid_points[mask]
     best = 0.0
     for i in range(0, m, _PAIR_CHUNK):
-        diffs = pts[i:i + _PAIR_CHUNK, None, :] - pts[None, :, :]
+        diffs = pts[i:i + _PAIR_CHUNK, None, :] - pts[None, i:, :]
         best = max(best, float(np.max(_norm_array(space, diffs))))
     return best
 

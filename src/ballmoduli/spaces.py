@@ -19,6 +19,7 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
+from . import exactpoly
 from .errors import BudgetError, DescriptorError, DimensionMismatchError, DomainError
 
 Side = Literal["primal", "dual"]
@@ -392,6 +393,20 @@ def polar_space(space: SpaceDescriptor) -> SpaceDescriptor:
     raise DescriptorError(space.kind)
 
 
+@lru_cache(maxsize=256)
+def _exact_polygon(space: SpaceDescriptor) -> Optional[exactpoly.Polygon]:
+    """The engine's one exact polygon of a 2-D polyhedral descriptor: its
+    float vertices taken exactly (``Fraction(c)``); None for any other
+    space, and where those floats are not exactly symmetric (no norm ball).
+    Memoized on the descriptor's value, as ``polar_space`` is."""
+    if space.kind != "polyhedral" or space.dim != 2:
+        return None
+    V = [(Fraction(x), Fraction(y)) for x, y in space.vertices]
+    if set(V) != {(-x, -y) for x, y in V}:
+        return None
+    return exactpoly.Polygon(V)
+
+
 # -- support mapping -------------------------------------------------------
 
 
@@ -469,17 +484,3 @@ def _kernel_frames(F: np.ndarray) -> np.ndarray:
     in the last bits, and so would the frames."""
     scale = np.sqrt((F[:, None, :] @ F[:, :, None])[:, 0, 0])
     return np.linalg.svd((F / scale[:, None])[:, None, :])[2][:, 1:]
-
-
-# -- exact rational views (consumed by the oracle) -------------------------
-
-
-def exact_vertices(space: SpaceDescriptor) -> list[tuple[Fraction, ...]]:
-    """The vertices as rationals, each coordinate rounded by
-    ``limit_denominator(10**12)``: the polygon of the exact paths (the
-    oracle and beta_global's pins), which is the float polygon exactly when
-    every coordinate is a fraction of denominator at most 10^12."""
-    if space.kind != "polyhedral":
-        raise DescriptorError("exact vertex form only exists for polyhedral spaces")
-    return [tuple(Fraction(c).limit_denominator(10 ** 12) for c in v)
-            for v in space.vertices]

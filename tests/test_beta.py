@@ -480,6 +480,12 @@ class TestExactPins:
         for t in (0.3, 1.0 / 3.0, 0.5000000000001, 0.7, 0.1 + 0.2):
             assert beta._exact_pins(space, np.nextafter(t, 1.0)) >= beta._exact_pins(space, t)
 
+    def test_no_pin_without_an_exact_polygon(self):
+        # symmetric to the descriptor's 1e-12, but 0.1 + 0.2 is not 0.3: the
+        # float vertices bound no exact norm ball, so nothing is pinned
+        space = polyhedral_space([(0.1 + 0.2, 1.0), (-0.3, -1.0), (1.0, 0.0), (-1.0, 0.0)])
+        assert beta._exact_pins(space, 0.5) == math.inf
+
     @pytest.mark.parametrize("name", ["l1-2d", "square-rot", "linf-2d"])
     def test_stops_at_the_first_zero(self, name, monkeypatch):
         # the first edge midpoint is the first zero pin

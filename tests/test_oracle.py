@@ -15,10 +15,17 @@ from ballmoduli import (Budget, DomainError, beta_sup, polyhedral_space,
 from ballmoduli.oracle import (BATTERY, exact_beta_point, exact_beta_sup,
                                exact_d_positive, exact_d_star_positive,
                                exact_d_star_zero_is_zero, exact_s_point,
-                               exact_slice_diameter, grid_bracket)
+                               exact_slice_diameter, grid_bracket, to_polygon)
 
 
 class TestExactPolyhedral:
+    def test_to_polygon_rounds_vertices_to_nearest(self):
+        # the oracle alone rounds: square-rot's floats 0.2 and 1.4 become
+        # the short rationals 1/5 and 7/5
+        verts = to_polygon(preset("square-rot")).vertices
+        assert all(isinstance(c, Fraction) for v in verts for c in v)
+        assert (Fraction(1, 5), Fraction(7, 5)) in verts
+
     def test_square_dual_slice_diameter(self):
         # slice {g1 >= 1/2} of the square dual ball, measured in its norm
         val = exact_slice_diameter(preset("l1-2d"), (1.0, 0.0), 0.5, "dual")

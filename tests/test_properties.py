@@ -313,12 +313,24 @@ class TestFarSetCandidates:
     def _all_crossings(dual_ball, f, t):
         """The far set's candidates from every dual edge crossed with every
         edge of f + t B*."""
+        def segment_intersection(p, q, r, s):
+            d1, d2 = exactpoly.sub(q, p), exactpoly.sub(s, r)
+            den = d1[0] * d2[1] - d1[1] * d2[0]
+            if den == 0:
+                return None
+            rp = exactpoly.sub(r, p)
+            t = (rp[0] * d2[1] - rp[1] * d2[0]) / den
+            u = (rp[0] * d1[1] - rp[1] * d1[0]) / den
+            if 0 <= t <= 1 and 0 <= u <= 1:
+                return (p[0] + t * d1[0], p[1] + t * d1[1])
+            return None
+
         Q = [(f[0] + t * v[0], f[1] + t * v[1]) for v in dual_ball.vertices]
         cand = [v for v in dual_ball.vertices if dual_ball.gauge(exactpoly.sub(v, f)) >= t]
         cand += [w for w in Q if dual_ball.contains(w)]
         for p, q in dual_ball.edges():
             for r, s in zip(Q, Q[1:] + Q[:1]):
-                pt = exactpoly._segment_intersection(p, q, r, s)
+                pt = segment_intersection(p, q, r, s)
                 if pt is not None:
                     cand.append(pt)
         return cand
@@ -327,8 +339,9 @@ class TestFarSetCandidates:
            st.integers(1, 32))
     @settings(max_examples=200, deadline=None)
     def test_same_candidates_as_all_crossings(self, poly, i, k, m):
-        # the edges skipped cross only at candidates already listed, so the
-        # candidate set, and every beta value read from it, is the same
+        # one clip per dual edge finds every crossing that is not a vertex
+        # of either polygon, so the candidate set, and every beta value read
+        # from it, is the same
         dual = poly.polar()
         f = _edge_point(dual, i, Fraction(k, 16))
         t = Fraction(m, 16)

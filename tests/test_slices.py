@@ -9,6 +9,7 @@ from ballmoduli import (MULTISTART, BallConstructionError, Budget,
                         f_eps_radius, norm, pairing, polar_space, polyhedral_space,
                         preset, slice_diameter)
 from ballmoduli.gridutil import sharp_equiv_constants, sphere_grid
+from ballmoduli import slices
 from ballmoduli.slices import _max_pair
 from ballmoduli.spaces import _norm_array
 
@@ -63,6 +64,23 @@ class TestSliceDiameter:
             Slice.of((1.0, 0.0), 0.0)
         with pytest.raises(DomainError):
             slice_diameter(preset("l2-2"), Slice.of((2.0, 0.0), 0.5))
+
+
+class TestMaxPair3D:
+    @pytest.mark.parametrize("name", ["l2-3", "lp:1.5-3d", "l1-3d", "linf-3d"])
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_unordered_pairs_equal_all_ordered_pairs(self, name, side, monkeypatch):
+        # each unordered pair once gives the all-ordered-pairs max bit for
+        # bit: ||a - b|| and ||b - a|| are equal in floating point; small
+        # blocks, so that most pairs fall across two of them
+        monkeypatch.setattr(slices, "_PAIR_CHUNK", 37)
+        space = preset(name)
+        W = space if side == "primal" else polar_space(space)
+        pts = sphere_grid(W, 0.3).points
+        mask = pts[:, 0] + 0.5 * pts[:, 1] >= -0.2
+        P = pts[mask]
+        expected = float(np.max(_norm_array(W, P[:, None, :] - P[None, :, :])))
+        assert _max_pair(W, pts, mask) == expected
 
 
 class TestFEpsRadius:

@@ -20,7 +20,7 @@ from ballmoduli import (BudgetError, DescriptorError, DimensionMismatchError, Do
                         witness_functional)
 from ballmoduli.gridutil import (_covering_runs, _icosphere, lowdisc_sphere,
                                 sharp_equiv_constants, sphere_grid)
-from ballmoduli.spaces import (_kernel_frames, _norm_array, _support_array, exact_vertices,
+from ballmoduli.spaces import (_exact_polygon, _kernel_frames, _norm_array, _support_array,
                                kernel_frame)
 
 
@@ -328,10 +328,18 @@ class TestDescriptors:
     def test_descriptor_is_hashable(self):
         assert len({preset("l2-2"), preset("l2-2"), preset("l1-2d")}) == 2
 
-    def test_exact_vertices_are_fractions(self):
-        verts = exact_vertices(preset("square-rot"))
-        assert all(isinstance(c, Fraction) for v in verts for c in v)
-        assert (Fraction(1, 5), Fraction(7, 5)) in verts
+    def test_exact_polygon_takes_the_float_vertices_exactly(self):
+        # the engine's exact paths work on the descriptor's own polygon:
+        # the float 0.2 is not 1/5, and nothing rounds it there
+        verts = _exact_polygon(preset("square-rot")).vertices
+        assert (Fraction(0.2), Fraction(1.4)) in verts
+        assert (Fraction(1, 5), Fraction(7, 5)) not in verts
+        assert _exact_polygon(preset("square-rot")) is _exact_polygon(preset("square-rot"))
+        assert _exact_polygon(preset("l2-2")) is None
+        assert _exact_polygon(preset("l1-3d")) is None
+        # symmetric to the descriptor's 1e-12, but 0.1 + 0.2 is not 0.3
+        near = polyhedral_space([(0.1 + 0.2, 1.0), (-0.3, -1.0), (1.0, 0.0), (-1.0, 0.0)])
+        assert _exact_polygon(near) is None
 
     def test_block_slices(self):
         space = preset("l2sum-4")

@@ -74,10 +74,25 @@ class TestSuiteRuns:
         assert report.flags["l2-2"] == "MIP: positive"
 
     def test_mip_detect_never_calls_a_polytope_positive(self):
-        # (1, 0) is a vertex of linf-2d's dual ball, so the flat-face witness
-        # fails there; a polytope still never has MIP
+        # the witness is a dual edge midpoint, never a dual vertex such as
+        # linf-2d's (1, 0), where beta(f, 1/2) = 1/4: at the midpoint
+        # (-1/2, -1/2) both exact values are 0
         report = run_suite("mip-detect", spaces=["linf-2d"])
-        assert report.flags["linf-2d"] == "MIP: undetermined"
+        assert report.ok
+        assert report.flags["linf-2d"] == "MIP: violated"
+        assert {tuple(c.params["f"]) for c in report.checks} == {(-0.5, -0.5)}
+
+    def test_dense_set_fails_on_disjoint_brackets(self, monkeypatch):
+        # two certified brackets of the same d(t) overlap; disjoint ones
+        # are a failure, however close their midpoints
+        def disjoint(space, t, budget):
+            r = budget.resolution
+            return Bracket(lower=r, upper=r + 1e-6, method="grid-certified",
+                           resolution=r, lipschitz=1.0)
+        monkeypatch.setattr(verify, "d_global", disjoint)
+        report = run_suite("dense-set", spaces=["l2-2"], budget=Budget(resolution=4e-2))
+        assert [c.status for c in report.checks] == [FAIL]
+        assert not report.ok
 
     def test_lpsum_suite_small(self):
         report = run_suite("lpsum", n_pairs=100)

@@ -24,6 +24,9 @@ its method tag, every norm value and every functional coordinate:
   polygon presets, with f at a vertex and at an edge midpoint of the dual
   ball, and on lp:1.5, the weighted lp:3 plane, ``poly2d:6`` and
   ``poly2d:8``, with f in the lower half-plane;
+- beta-global at t = 0.3 and 0.7 and resolution 0.2 on ``tenths``, a
+  14-gon whose float vertices k/10 are not dyadic (so the engine's exact
+  polygon is not the oracle's) and whose pins are positive at both t;
 - primal and dual slice diameters at resolutions 5e-3 and 1.5e-3 and
   thresholds 0.002, 0.3, 0.6 and 0.999 on the six 2-D presets, and the
   modulus of convexity at t = 0.3, 1, 1.7 and 2 and resolutions 2e-2 and
@@ -44,7 +47,8 @@ its method tag, every norm value and every functional coordinate:
   (``NORM8_SPACES``) under the kinds ``norm8`` and ``dual_norm8``, where
   numpy's sum turns pairwise and values may move by an ulp or two;
 - every verification suite's ``to_json()`` report at small fixed settings
-  (``VERIFY_RUNS``) and the ``run_oracle_battery()`` output.
+  (``VERIFY_RUNS``; ``mip-detect`` also on linf-2d alone) and the
+  ``run_oracle_battery()`` output.
 
 ``diff`` prints the number of values compared, the largest absolute
 difference overall, the number of differing values and their largest
@@ -81,12 +85,17 @@ NORM_SPACES = ([f"lp:{p}-{d}d" for d in (1, 4, 5, 6, 7) for p in (1.5, 3)]
                + [_weighted(p, d) for d in (1, 4, 5, 6, 7) for p in (1.5, 7)]
                + ["lpsum:3:lp:1.5-5d+l1-2d"])
 NORM8_SPACES = ["lp:1.5-8d", "lp:3-8d", _weighted(7, 8)]
-# suite name -> (run_suite keywords, resolution or None)
+# half the vertices of ``tenths`` (the other half are their negatives)
+TENTHS = [(2.0, 0.3), (1.7, 1.1), (1.0, 1.7), (0.2, 2.0), (-0.7, 1.9), (-1.4, 1.4),
+          (-1.9, 0.6)]
+# report label (the suite name, then any words) -> (run_suite keywords,
+# resolution or None)
 VERIFY_RUNS = {
     "lemmas": ({"spaces": ["l2-2", "lp:1.5-2d", "l1-2d", "square-rot"], "seed": 3,
                 "instances_per_lemma": 8}, 2e-2),
     "chain": ({"spaces": ["lp:1.5-2d"]}, 5e-2),
     "mip-detect": ({}, None),
+    "mip-detect linf-2d": ({"spaces": ["linf-2d"]}, None),
     "lpsum": ({"seed": 2, "n_pairs": 60}, 4e-2),
     "ordering": ({"spaces": ["lp:1.5-2d", "l1-2d"], "seed": 1}, 0.1),
     "dense-set": ({}, 4e-2),
@@ -112,6 +121,8 @@ def _space(bm, name):
             if poly is not None and len(poly.vertices) == int(arg):
                 return bm.polyhedral_space([tuple(float(c) for c in v)
                                             for v in poly.vertices])
+    if kind == "tenths":
+        return bm.polyhedral_space(TENTHS + [(-x, -y) for x, y in TENTHS])
     if kind == "poly3d":
         half = np.random.default_rng(int(arg)).standard_normal((6, 3))
         return bm.polyhedral_space(np.vstack([half, -half]).tolist())
@@ -192,7 +203,7 @@ def _slice_s_beta(bm):
 def _beta_scans(bm):
     for name, res in (("lp:1.5-2d", 4e-2), ("lp:3-2d", 4e-2), ("weighted:3:1,2", 4e-2),
                       ("l1-2d", 0.2), ("square-rot", 0.2), ("poly2d:6", 0.2),
-                      ("poly2d:8", 0.2), ("lp:1.5-3d", 0.45),
+                      ("poly2d:8", 0.2), ("tenths", 0.2), ("lp:1.5-3d", 0.45),
                       ("lp:3-3d", 0.45), ("l1-3d", 0.6)):
         sp = _space(bm, name)
         for t in (0.3, 0.7):
@@ -321,10 +332,10 @@ def dump(path: str) -> None:
             out[f"dual_norm{kind} {name}"] = (bm.dual_norm(sp, raw).tolist()
                                               + [float(bm.dual_norm(sp, x)) for x in raw[:10]])
     verify = {}
-    for name, (kw, res) in VERIFY_RUNS.items():
+    for label, (kw, res) in VERIFY_RUNS.items():
         budget = bm.Budget(resolution=res) if res is not None else None
-        verify[name] = bm.run_suite(name, budget=budget, **kw).to_json()
-        print("suite", name, flush=True)
+        verify[label] = bm.run_suite(label.split()[0], budget=budget, **kw).to_json()
+        print("suite", label, flush=True)
     verify["oracle-battery"] = bm.run_oracle_battery()
     with open(path, "w") as fh:
         json.dump({"values": out, "methods": methods, "verify": verify}, fh, indent=0)
