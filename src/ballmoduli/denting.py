@@ -331,13 +331,19 @@ def d_point(space: SpaceDescriptor, x, t: float,
         raise DomainError(f"d modulus needs 0 < t < 2, got {t}")
     budget = resolve(budget)
     xa = _unit_coords(space, x, "primal", "x")
-    res_f = _resolution(budget, 4e-3, 0.25, space.dim)
-    res_i = _resolution(budget, 1.5e-3, 0.06, space.dim)
-    grid = sphere_grid(polar_space(space), res_f)
+    grid, res_f, res_i = _d_point_grid(space, budget)
     lower, upper = _d_point_bounds(space, xa[None, :], grid.points, t, res_i,
                                    budget.max_evals, covering=grid.covering)
     return Bracket(lower=float(lower[0]), upper=float(upper[0]), method=GRID,
                    resolution=res_f, lipschitz=2.0 + t / 4.0)
+
+
+def _d_point_grid(space: SpaceDescriptor, budget: Budget):
+    """(dual grid, its resolution, kernel resolution) of ``d_point``'s scan,
+    which ``d_star_zero``'s lower end runs without the upper pass."""
+    res_f = _resolution(budget, 4e-3, 0.25, space.dim)
+    res_i = _resolution(budget, 1.5e-3, 0.06, space.dim)
+    return sphere_grid(polar_space(space), res_f), res_f, res_i
 
 
 def _d_point_bounds(space: SpaceDescriptor, X: np.ndarray, F: np.ndarray,
@@ -437,12 +443,12 @@ def _ring_floors(space: SpaceDescriptor, X: np.ndarray, F: np.ndarray,
     g(y) >= g(z) - eta.  In the plane the ring is the two points
     +-r' v/||v|| of the kernel line, so m(x) >= min over them of g - eta.
     In 3-D the ring is a circle, sampled as in ``_kernel_mins`` at
-    z_k = r' u_k/||u_k|| for 720 equally spaced unit vectors u_k of the
-    basis circle.  By the monotonicity lemma for normed planes
+    z_k = r' u_k/||u_k|| for n = len(_ANGLES) equally spaced unit vectors
+    u_k of the basis circle.  By the monotonicity lemma for normed planes
     (``gridutil.sphere_grid``) a ring point between two consecutive
     samples is within their distance of the first, and
     ||a/||a|| - b/||b|||| <= 2 ||a - b||/||a|| with ||a - b|| <= C |a - b|_2,
-    so every ring point is within gap = 4 r' C sin(pi/720) / min_k ||u_k||
+    so every ring point is within gap = 4 r' C sin(pi/n) / min_k ||u_k||
     of a sample, and m(x) >= min over the samples of g - eta - gap.  Hence
 
         LB(x) = max(0, min over the ring samples of ||x + z||
@@ -469,8 +475,9 @@ def _ring_floors(space: SpaceDescriptor, X: np.ndarray, F: np.ndarray,
         w = _norm_array(space, U)
         Z = (r / w)[..., None] * U
         ring_min[i:i + 256] = np.min(_norm_array(space, X[i:i + 256, None, :] + Z), axis=1)
-        if space.dim > 2:  # gap, from the chord 2 sin(pi/720) of the basis circle
-            ring_min[i:i + 256] -= 4.0 * r * C * math.sin(math.pi / 720) / np.min(w, axis=1)
+        if space.dim > 2:  # gap, from the chord 2 sin(pi/n) of the basis circle
+            ring_min[i:i + 256] -= (4.0 * r * C * math.sin(math.pi / len(_ANGLES))
+                                    / np.min(w, axis=1))
     return np.maximum(ring_min - 1.0 - eta - slack - _FLOOR_MARGIN, 0.0)
 
 
@@ -557,7 +564,8 @@ def d_star_zero(space: SpaceDescriptor, f, t: float,
                 budget: Optional[Budget] = None) -> Bracket:
     """d*0(f, t) = sup{d*(g, t) : g unit in X*, ||f - g|| < t}.
 
-    Lower bound: g = f is always admissible, plus a strict-interior sample
+    Lower bound: g = f is always admissible (``d_star``'s lower scan,
+    without its upper pass), plus a strict-interior sample
     at radius <= t(1 - 1e-6).  Upper bound: d*(., t) is 1-Lipschitz in g, so
     a covering of the closed neighbourhood certifies the sup; the cover
     point nearest f is always in it.  The d* upper scan at each cover point
@@ -570,7 +578,9 @@ def d_star_zero(space: SpaceDescriptor, f, t: float,
     budget = resolve(budget)
     W = polar_space(space)
     fa = _unit_coords(space, f, "dual", "f")
-    lower = d_point(W, fa, t, budget).lower
+    grid, _, res_k = _d_point_grid(W, budget)
+    lower = float(_d_point_bounds(W, fa[None, :], grid.points, t, res_k,
+                                  budget.max_evals)[0][0])
     res_i = _resolution(budget, 2e-3, 0.05, W.dim)
     inner = lowdisc_sphere(W, 64)
     near = inner[_norm_array(W, inner - fa) <= t * (1.0 - 1e-6)][:8]

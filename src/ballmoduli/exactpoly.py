@@ -1,8 +1,9 @@
 """Exact rational computations on 2-D polyhedral unit balls.
 
 All geometry here is done with ``fractions.Fraction``: convex hulls,
-facet functionals, Minkowski functionals, halfplane clipping, and the
-finite enumerations behind the exact modulus values.  Distances between
+facet functionals, Minkowski functionals, halfplane clipping, the
+finite enumerations behind the exact modulus values, and the exact
+coverage of parameter squares behind the denting signs.  Distances between
 points of a polygonal ball are measured in the ball's own norm, so every
 exact value produced here is rational.  Inputs are rationals already:
 no float is converted here.
@@ -103,15 +104,6 @@ def clip_halfplane(vertices: list[Vec], a: Vec, b: Fraction) -> list[Vec]:
     if len(ded) > 1 and ded[0] == ded[-1]:
         ded.pop()
     return ded
-
-
-def clip_polygon(vertices: list[Vec], halfplanes: Iterable[HalfPlane]) -> list[Vec]:
-    out = list(vertices)
-    for a1, a2, b in halfplanes:
-        out = clip_halfplane(out, (a1, a2), b)
-        if not out:
-            return []
-    return out
 
 
 def segment_interval(p: Vec, q: Vec, halfplanes: Iterable[HalfPlane]
@@ -252,68 +244,43 @@ def s_point_exact(ball: Polygon, x: Vec, f: Vec, t: Fraction) -> Fraction:
 
 
 def denting_nonpositive(ball: Polygon, g: Vec, t: Fraction) -> bool:
-    """Exact test that sup_f s(g, f, t) <= 0 for g on the sphere of ``ball``.
+    """Exact test that d(g, t) = sup_f s(g, f, t) <= 0 for g on the sphere
+    of ``ball``: the covering test on the one-point segment [g, g]."""
+    return _segment_nonpositive(ball, g, g, t)
 
-    The sup is nonpositive iff for every unit direction u one of
-    g +- (t/4) u stays in the ball: on each sphere edge the parameters of
-    the two signs form two closed intervals, which must cover [0, 1].
+
+def dstar_zero_nonpositive(ball: Polygon, f: Vec, t: Fraction) -> bool:
+    """Exact test that d(g, t) <= 0 for every g on the sphere of ``ball``
+    with ||f - g|| <= t, for f on that sphere.
+
+    With ``ball`` the dual ball this is d*(g, t) <= 0 on the closed
+    t-neighbourhood of f, which with d*(f, t) >= 0 pins d*_0(f, t) = 0
+    exactly.  Each piece [ga, gb] of a sphere edge inside f + t B (one clip
+    of the edge against its halfplanes a.g <= t + a.f) runs the covering
+    test.
     """
-    r = t / 4
-    return all(_covers_unit_interval(_direction_interval(ball, g, v, w, r),
-                                     _direction_interval(ball, g, v, w, -r))
-               for v, w in ball.edges())
-
-
-def _direction_interval(ball: Polygon, g: Vec, v: Vec, w: Vec, r: Fraction
-                        ) -> Optional[tuple[Fraction, Fraction]]:
-    """Parameters lam in [0,1] with g + r*(v + lam(w-v)) inside the ball."""
-    hp = []
-    d = sub(w, v)
-    for a in ball.facets:
-        # a.(g + r v) + lam * r a.d <= 1
-        c0 = dot(a, g) + r * dot(a, v)
-        c1 = r * dot(a, d)
-        hp.append((c1, ZERO, 1 - c0))  # treat lam as the x-coordinate
-    return segment_interval((ZERO, ZERO), (ONE, ZERO), hp)
-
-
-def _covers_unit_interval(i1: Optional[tuple[Fraction, Fraction]],
-                          i2: Optional[tuple[Fraction, Fraction]]) -> bool:
-    """Whether the union of two closed intervals (None: empty) covers [0, 1]."""
-    cur = ZERO
-    for lo, hi in sorted(i for i in (i1, i2) if i is not None):
-        if lo > cur:
-            return False
-        cur = max(cur, hi)
-    return cur >= 1
-
-
-# -- d*_0 coverage over a neighbourhood ------------------------------------
-
-
-def dstar_zero_nonpositive(primal_ball: Polygon, f: Vec, t: Fraction) -> bool:
-    """Exact test that d*(g, t) <= 0 for every g on S(X*) with ||f-g|| <= t.
-
-    Works on the dual ball (polar of the primal polygon): for each piece
-    [ga, gb] of a dual sphere edge inside the closed t-neighbourhood of f
-    and each edge [v, w] of directions, the square of parameters (mu, lam)
-    must be covered by the two sets where g(mu) +- (t/4) u(lam) stays in
-    the dual ball.  Combined with d*(f, t) >= 0 this pins d*_0(f, t) = 0
-    exactly.
-    """
-    dual = primal_ball.polar()
-    r = t / 4
-    near = [(a1, a2, t + dot((a1, a2), f)) for a1, a2 in dual.facets]
-    for g0, g1 in dual.edges():
+    near = [(a1, a2, t + dot((a1, a2), f)) for a1, a2 in ball.facets]
+    for g0, g1 in ball.edges():
         seg = segment_interval(g0, g1, near)
         if seg is None:
             continue
         lo, hi = seg
         ga = (g0[0] + lo * (g1[0] - g0[0]), g0[1] + lo * (g1[1] - g0[1]))
         gb = (g0[0] + hi * (g1[0] - g0[0]), g0[1] + hi * (g1[1] - g0[1]))
-        if not all(_square_covered(dual, ga, gb, v, w, r) for v, w in dual.edges()):
+        if not _segment_nonpositive(ball, ga, gb, t):
             return False
     return True
+
+
+def _segment_nonpositive(ball: Polygon, ga: Vec, gb: Vec, t: Fraction) -> bool:
+    """Whether d(g, t) <= 0 at every g of the sphere segment [ga, gb].
+
+    d(g, t) <= 0 iff for every unit direction u one of g +- (t/4) u stays in
+    the ball.  For each edge [v, w] of directions, the square of parameters
+    (mu, lam) with g = ga + mu (gb - ga) and u = v + lam (w - v) must be
+    covered by the two closed sets where g +- (t/4) u stays in the ball.
+    """
+    return all(_square_covered(ball, ga, gb, v, w, t / 4) for v, w in ball.edges())
 
 
 def _square_covered(ball: Polygon, ga: Vec, gb: Vec, v: Vec, w: Vec,
@@ -341,7 +308,7 @@ def _square_covered(ball: Polygon, ga: Vec, gb: Vec, v: Vec, w: Vec,
     square = [(ZERO, ZERO), (ONE, ZERO), (ONE, ONE), (ZERO, ONE)]
     hp_minus = halfplanes(-1)
     for a1, a2, b in halfplanes(1):
-        piece = clip_polygon(square, [(-a1, -a2, -b)])
+        piece = clip_halfplane(square, (-a1, -a2), -b)
         if not any(a1 * q[0] + a2 * q[1] > b for q in piece):
             continue  # the open piece is empty
         if not all(c1 * q[0] + c2 * q[1] <= c for q in piece for c1, c2, c in hp_minus):

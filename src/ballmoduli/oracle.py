@@ -273,9 +273,8 @@ def exact_d_star_positive(space: SpaceDescriptor, f, t) -> bool:
 def exact_d_star_zero_is_zero(space: SpaceDescriptor, f, t) -> bool:
     """True when d*_0(f, t) = 0 exactly: no g in the closed t-neighbourhood
     of f on the dual sphere is w*-denting at scale t."""
-    primal = to_polygon(space)
-    return exactpoly.dstar_zero_nonpositive(
-        primal, _on_sphere(primal.polar(), f), _rational(t))
+    dual = to_polygon(space).polar()
+    return exactpoly.dstar_zero_nonpositive(dual, _on_sphere(dual, f), _rational(t))
 
 
 # -- the fixed oracle/engine battery ---------------------------------------

@@ -420,6 +420,23 @@ class TestDStarZero:
         assert b.lower == d_star(space, f, 0.01, coarse).lower
         assert b.lower <= b.upper
 
+    @pytest.mark.parametrize("name, res, t", [("lp:1.5-2d", None, 0.3),
+                                              ("l2-2", None, 1.0),
+                                              ("linf-3d", 0.15, 1.0)])
+    def test_lower_end_at_f_is_the_d_star_lower_end(self, monkeypatch, name, res, t):
+        # with no interior sample the lower end is the scan at g = f, which
+        # runs d*'s lower pass without its upper pass: the same value bit for
+        # bit (the cover scan of the upper end is stubbed out)
+        space, budget = preset(name), Budget(resolution=res)
+        f = lowdisc_sphere(polar_space(space), 1)[0]
+        want = d_star(space, f, t, budget).lower
+        monkeypatch.setattr(denting, "lowdisc_sphere",
+                            lambda sp, n: np.empty((0, sp.dim)))
+        monkeypatch.setattr(denting, "_d_star_zero_upper",
+                            lambda W, fa, t, budget: (math.inf, 1.0))
+        assert want > 0.0
+        assert d_star_zero(space, f, t, budget).lower == want
+
     def test_flat_neighborhood_vanishes(self):
         b = d_star_zero(preset("l1-2d"), (1.0, 0.0), 0.5)
         assert b.lower == 0.0

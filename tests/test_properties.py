@@ -350,6 +350,47 @@ class TestFarSetCandidates:
         assert set(got) == set(want)
 
 
+_DIAMOND = Polygon([(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
+                    (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1))])
+
+
+class TestDentingSign:
+    @staticmethod
+    def _interval_test(ball, g, t):
+        """d(g, t) <= 0 when, on each sphere edge [v, w] of directions u, the
+        two parameter intervals of lam where g +- (t/4) u(lam) stays in the
+        ball cover [0, 1]."""
+        def interval(v, w, r):
+            d = exactpoly.sub(w, v)
+            hp = [(r * exactpoly.dot(a, d), Fraction(0),
+                   1 - exactpoly.dot(a, g) - r * exactpoly.dot(a, v)) for a in ball.facets]
+            return exactpoly.segment_interval((0, 0), (1, 0), hp)
+
+        def covers(i1, i2):
+            cur = 0
+            for lo, hi in sorted(i for i in (i1, i2) if i is not None):
+                if lo > cur:
+                    return False
+                cur = max(cur, hi)
+            return cur >= 1
+
+        return all(covers(interval(v, w, t / 4), interval(v, w, -t / 4))
+                   for v, w in ball.edges())
+
+    @given(rational_polygons(), st.integers(0, 7), st.integers(0, 16),
+           st.integers(1, 39))
+    # on the l1 ball d(g, 1/2) > 0 at a vertex and d(g, 1/2) = 0 at an edge
+    # midpoint, so both outcomes are drawn in every run
+    @example(_DIAMOND, 0, 0, 10)
+    @example(_DIAMOND, 0, 8, 10)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_point_test_equals_the_interval_test(self, poly, i, k, m):
+        # the point test is the square test on the one-point segment [g, g]
+        g = _edge_point(poly, i, Fraction(k, 16))
+        t = Fraction(m, 20)
+        assert exactpoly.denting_nonpositive(poly, g, t) == self._interval_test(poly, g, t)
+
+
 @st.composite
 def floor_spaces(draw):
     """An lp space in 2-D or 3-D, 1.05 <= p <= 8, a weighted lp plane, a

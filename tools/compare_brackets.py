@@ -35,7 +35,8 @@ its method tag, every norm value and every functional coordinate:
   instance of the slice-geometry workload (C fixed inside its drawn
   ranges), on an lp:3 plane and on a single point;
 - the exact sign tests d > 0, d* > 0 and d*0 = 0, as 0/1, at points of
-  seeded rational polygons;
+  100 seeded rational polygons, the last 40 at t = k/64 (k <= 8) and
+  interior edge points, where d*0 = 0 is common;
 - norm, dual norm and support functional at seeded random points, also on
   the polytopes l1-3d, linf-3d, ``cross:4`` and ``cube:4`` (cross_polytope(4)
   and hypercube(4)) and ``poly3d:S``, the symmetric hull of six seeded
@@ -276,7 +277,7 @@ def _sign_tests(bm):
     from ballmoduli import oracle
     rng = np.random.default_rng(0)
     k = 0
-    while k < 60:
+    while k < 100:
         poly = _rational_polygon(rng)
         if poly is None:
             continue
@@ -284,10 +285,12 @@ def _sign_tests(bm):
         edges, dual_edges = poly.edges(), poly.polar().edges()
         (v, w) = edges[int(rng.integers(len(edges)))]
         (g, h) = dual_edges[int(rng.integers(len(dual_edges)))]
-        lam = Fraction(int(rng.integers(0, 17)), 16)
+        # past the first 60, small t at interior edge points, where d*0 = 0
+        small = k >= 60
+        lam = Fraction(int(rng.integers(1, 16) if small else rng.integers(0, 17)), 16)
         x = tuple(float(a + lam * (b - a)) for a, b in zip(v, w))
         f = tuple(float(a + lam * (b - a)) for a, b in zip(g, h))
-        t = int(rng.integers(1, 32)) / 16
+        t = int(rng.integers(1, 9)) / 64 if small else int(rng.integers(1, 32)) / 16
 
         def signs():
             return [int(oracle.exact_d_positive(sp, x, t)),
