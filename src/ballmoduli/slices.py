@@ -16,8 +16,12 @@ monotonicity lemma of Martini, Swanepoel & Weiss, Expo. Math. 19 (2001),
 Prop. 31), so the farthest partner of p_i in the run is an end of the run
 or an antipodal index clipped into the run.  Those four candidates, each
 with a one-index window against float ties, give the slice's largest grid
-distance from about 12m norms instead of m^2.  In 3-D every pair is
-compared.
+distance.  After clipping, the end windows are the positions
+{0, 1, m-2, m-1}, and an antipodal candidate adds a pair only where it
+lands before m-1, which on a run shorter than floor(n/2) it never does;
+so the scan evaluates 4m norms plus those antipodal pairs, the same pair
+set as clipping all 12 candidates per position, instead of m^2.  In 3-D
+every pair is compared.
 """
 
 from __future__ import annotations
@@ -90,9 +94,6 @@ def slice_diameter(space: SpaceDescriptor, slc: Slice,
                    resolution=res, lipschitz=1.0)
 
 
-_PAIR_WINDOW = np.arange(-1, 2)  # each candidate partner is widened by one index
-
-
 def _max_pair(space: SpaceDescriptor, grid_points: np.ndarray,
               mask: np.ndarray) -> float:
     """Largest ||g - g'|| over the grid points selected by ``mask``.
@@ -126,15 +127,18 @@ def _max_pair_arc(space: SpaceDescriptor, grid_points: np.ndarray,
     # of the norm they change no pair maximum
     start, m = (int(v[0]) for v in _covering_runs(mask[None, :]))
     run = grid_points[(start + np.arange(m)) % n]
-    # a position's candidate partners: both ends of the run and the
-    # antipodal positions floor(n/2) and ceil(n/2) ahead of it; a position
-    # past the run's end is clipped into it, onto an end
-    pos = np.arange(m)[:, None]
-    ends = np.broadcast_to([0, m - 1], (m, 2))
-    anti = pos + [n // 2, (n + 1) // 2]
-    cand = np.concatenate([ends, anti], axis=1)[:, :, None] + _PAIR_WINDOW
-    partners = np.minimum(cand.reshape(m, -1) % n, m - 1)
-    return float(np.max(_norm_array(space, run[:, None, :] - run[partners])))
+    # a position's partners: the end windows {0, 1, m-2, m-1}, and the
+    # positions one index either side of floor(n/2) and ceil(n/2) ahead of
+    # it (mod n) that land before m-1; any other antipodal partner clips
+    # onto the end m-1, and none lands before it on a run shorter than
+    # floor(n/2)
+    ends = run[[0, 1, m - 2, m - 1]]
+    anti = (np.arange(m)[:, None] + np.arange(n // 2 - 1, (n + 1) // 2 + 2)) % n
+    i, k = np.nonzero(anti < m - 1)
+    diffs = (run[:, None, :] - ends).reshape(-1, 2)
+    if len(i):
+        diffs = np.concatenate([diffs, run[i] - run[anti[i, k]]])
+    return float(np.max(_norm_array(space, diffs)))
 
 
 # -- residual-set radius ----------------------------------------------------

@@ -10,6 +10,7 @@ fail a run.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -79,6 +80,11 @@ class VerificationReport:
         return sum(1 for c in self.checks if c.status == INCONCLUSIVE)
 
     @property
+    def n_vacuous(self) -> int:
+        """The checks built by ``_vacuous``: passes whose premise did not hold."""
+        return sum(1 for c in self.checks if c.params.get("vacuous"))
+
+    @property
     def ok(self) -> bool:
         return self.n_fail == 0
 
@@ -86,7 +92,8 @@ class VerificationReport:
         return {"suite": self.suite, "seed": self.seed, "config": self.config,
                 "flags": self.flags,
                 "summary": {"pass": self.n_pass, "fail": self.n_fail,
-                            "inconclusive": self.n_inconclusive},
+                            "inconclusive": self.n_inconclusive,
+                            "vacuous": self.n_vacuous},
                 "checks": [c.to_json() for c in self.checks]}
 
 
@@ -316,10 +323,11 @@ def suite_mip_detect(names, seed, budget):
         if space.kind == "polyhedral" and space.dim == 2:
             # a polytope never has MIP (its dual ball's w*-denting points are
             # its vertices); the witness is the first dual edge midpoint with
-            # beta = d*0 = 0 exactly (at a dual vertex beta > 0), else open
-            t, dual = 0.5, oracle.to_polygon(space).polar()
-            for v, w in dual.edges():
-                m = ((v[0] + w[0]) / 2, (v[1] + w[1]) / 2)
+            # beta = d*0 = 0 exactly (at a dual vertex beta > 0), at the
+            # largest t of 1/2, 1/4, 1/8 that has one, else open
+            dual = oracle.to_polygon(space).polar()
+            mids = [((v[0] + w[0]) / 2, (v[1] + w[1]) / 2) for v, w in dual.edges()]
+            for t, m in itertools.product((0.5, 0.25, 0.125), mids):
                 f = tuple(float(c / dual.gauge(m)) for c in m)
                 val = float(oracle.exact_beta_sup(space, f, t))
                 zero = oracle.exact_d_star_zero_is_zero(space, f, t)

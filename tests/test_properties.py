@@ -16,7 +16,8 @@ from ballmoduli import exactpoly, oracle
 from ballmoduli.denting import (_convexity_grid, _d_lower_cheap, _flat_threshold,
                                 _ring_floors)
 from ballmoduli.exactpoly import Polygon, _min_of_max_affine
-from ballmoduli.gridutil import lowdisc_sphere, sharp_equiv_constants, sphere_grid
+from ballmoduli.gridutil import (_covering_runs, lowdisc_sphere, sharp_equiv_constants,
+                                sphere_grid)
 from ballmoduli.slices import _distance_to_hull, _max_pair
 from ballmoduli.spaces import _norm_array, _support_array
 
@@ -212,6 +213,31 @@ def _all_pairs_delta(space, grid, t):
     return max(0.0, float(np.min(relax)) - h), upper
 
 
+def _twelve_partner_max(space, pts, mask):
+    """The earlier 2-D scan: every run position against both run ends and
+    the antipodal offsets floor(n/2) and ceil(n/2), each widened by one
+    index, taken mod n and clipped to the run's last position."""
+    if np.count_nonzero(mask) < 2:
+        return 0.0
+    n = len(pts)
+    start, m = (int(v[0]) for v in _covering_runs(mask[None, :]))
+    run = pts[(start + np.arange(m)) % n]
+    pos = np.arange(m)[:, None]
+    ends = np.broadcast_to([0, m - 1], (m, 2))
+    anti = pos + [n // 2, (n + 1) // 2]
+    cand = np.concatenate([ends, anti], axis=1)[:, :, None] + np.arange(-1, 2)
+    partners = np.minimum(cand.reshape(m, -1) % n, m - 1)
+    return float(np.max(_norm_array(space, run[:, None, :] - run[partners])))
+
+
+@st.composite
+def planes_and_lp(draw):
+    """An lp plane, 1.05 <= p <= 6, or one of ``planes``."""
+    if draw(st.booleans()):
+        return lp_space(2, draw(st.floats(1.05, 6.0)))
+    return draw(planes())
+
+
 def _engine_delta(space, t, res):
     """modulus_convexity's grid search, which a polygon skips for t <= D."""
     b = _convexity_grid(space, t, Budget(resolution=res))
@@ -240,6 +266,29 @@ class TestPlanePairScans:
         for thr in (alpha, alpha - h):
             mask = vals >= thr
             assert abs(_max_pair(W, P, mask) - _all_pairs_max(W, P[mask])) <= 1e-15
+
+    # the split dual-square mask; a short run across the wrap-around of an
+    # odd grid; a relaxed run longer than a half-turn
+    @example(polyhedral_space([(-0.625, 0), (0, -0.625), (0.625, 0), (0, 0.625)]),
+             True, 40, 0.0, -0.9999999999999999)
+    @example(lp_space(2, 2.0), False, 41, 0.0, 0.5)
+    @example(weighted_lp_space(3.0, [1.0, 2.0]), True, 600, 1.0, -0.2)
+    @given(planes_and_lp(), st.booleans(), st.integers(40, 600),
+           st.floats(0.0, 2.0 * math.pi), st.floats(-1.0, 0.999))
+    @settings(max_examples=200, deadline=None)
+    def test_slice_pair_max_equals_twelve_partner_scan(self, space, dual, n, angle, alpha):
+        # the end windows and the antipodal partners inside the run are the
+        # pairs the twelve-partner scan evaluates, so the max is the same
+        # bit for bit
+        W = polar_space(space) if dual else space
+        _, grid = _grid_of_size(W, n)
+        P, h = grid.points, grid.covering
+        v = np.array([math.cos(angle), math.sin(angle)])
+        v /= dual_norm(W, v)
+        vals = P @ v
+        for thr in (alpha, alpha - h):
+            mask = vals >= thr
+            assert _max_pair(W, P, mask) == _twelve_partner_max(W, P, mask)
 
     @given(planes(), st.integers(40, 500), st.floats(0.02, 2.0))
     @settings(max_examples=100, deadline=None)

@@ -59,6 +59,24 @@ class TestSliceDiameter:
         expected = float(np.max(_norm_array(W, P[:, None, :] - P[None, :, :])))
         assert abs(_max_pair(W, pts, mask) - expected) <= 1e-15
 
+    def test_short_run_evaluates_only_its_end_windows(self, monkeypatch):
+        # a run shorter than a half-turn has no antipodal partner inside
+        # it, so one norm call gets each position against the four
+        # positions {0, 1, m-2, m-1}
+        calls = []
+
+        def spy(space, a):
+            calls.append(a.shape)
+            return _norm_array(space, a)
+        monkeypatch.setattr(slices, "_norm_array", spy)
+        space = preset("lp:1.5-2d")
+        pts = sphere_grid(space, 5e-3).points
+        mask = pts @ np.array([0.6, 0.8]) >= 0.5
+        m = int(np.count_nonzero(mask))
+        assert 2 < m < len(pts) // 2 - 1
+        _max_pair(space, pts, mask)
+        assert calls == [(4 * m, 2)]
+
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
             Slice.of((1.0, 0.0), 0.0)

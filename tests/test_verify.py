@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from ballmoduli import (Bracket, Budget, DomainError, list_suites, run_suite)
+from ballmoduli import (Bracket, Budget, DomainError, list_suites, polyhedral_space,
+                        run_suite)
 from ballmoduli import verify
 from ballmoduli.verify import FAIL, INCONCLUSIVE, PASS, compare
 
@@ -122,6 +123,32 @@ class TestSuiteRuns:
                            instances_per_lemma=12)
         assert report.ok
         assert len(report.checks) == 6 * 12
+
+    def test_vacuous_checks_are_counted_apart(self):
+        # a lemma instance whose premise fails is a pass built by _vacuous;
+        # the report counts those apart, and n_pass still includes them
+        report = run_suite("lemmas", spaces=["l1-2d"], instances_per_lemma=4,
+                           budget=Budget(resolution=2e-2))
+        vacuous = [c for c in report.checks if c.params.get("vacuous")]
+        assert 0 < report.n_vacuous == len(vacuous) < report.n_pass
+        assert all(c.status == PASS for c in vacuous)
+        summary = report.to_json()["summary"]
+        assert summary == {"pass": report.n_pass, "fail": 0, "inconclusive": 0,
+                           "vacuous": report.n_vacuous}
+
+    def test_mip_detect_tries_smaller_t_on_a_polygon(self, monkeypatch):
+        # no dual edge midpoint of this 14-gon is a witness at t = 1/2, but
+        # (1, -0.0893) is one at t = 1/4; the check records the t it used
+        half = [(1, 0), (0.9, 0.4), (0.7, 0.7), (0.4, 0.9), (0, 1), (-0.4, 0.9),
+                (-0.7, 0.7)]
+        gon = polyhedral_space(half + [(-x, -y) for x, y in half])
+        monkeypatch.setattr(verify, "preset", lambda name: gon)
+        report = run_suite("mip-detect", spaces=["14-gon"])
+        assert report.ok
+        assert report.flags["14-gon"] == "MIP: violated"
+        assert {c.params["t"] for c in report.checks} == {0.25}
+        f = report.checks[0].params["f"]
+        assert f[0] == 1.0 and f[1] == pytest.approx(-0.0893, abs=1e-4)
 
     def test_ordering_single_space(self):
         report = run_suite("ordering", spaces=["l2-2"],

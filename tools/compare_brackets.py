@@ -34,6 +34,8 @@ its method tag, every norm value and every functional coordinate:
 - ``construct_separating_ball``'s radius, d, gamma and eta on the disk
   instance of the slice-geometry workload (C fixed inside its drawn
   ranges), on an lp:3 plane and on a single point;
+- the residual-set radius ``f_eps_radius`` at eps = 0.5 and 1 on l2-2,
+  lp:1.5, l1-2d and square-rot, at the default budget;
 - the exact sign tests d > 0, d* > 0 and d*0 = 0, as 0/1, at points of
   100 seeded rational polygons, the last 40 at t = k/64 (k <= 8) and
   interior edge points, where d*0 = 0 is common;
@@ -143,6 +145,7 @@ def calls(bm):
     yield from _beta_scans(bm)
     yield from _pair_scans(bm)
     yield from _separating_balls(bm)
+    yield from _residual_radii(bm)
     yield from _sign_tests(bm)
 
 
@@ -255,6 +258,13 @@ def _separating_balls(bm):
             b = bm.construct_separating_ball(_space(bm, name), C, (1.0, 0.0), eps, 1.0, budget)
             return [b.radius, b.d, b.gamma, b.eta], "ball"
         yield f"separating_ball {name} {len(C)}", ball
+
+
+def _residual_radii(bm):
+    for name in ("l2-2", "lp:1.5-2d", "l1-2d", "square-rot"):
+        sp = _space(bm, name)
+        for eps in (0.5, 1.0):
+            yield f"f_eps_radius {name} {eps}", lambda: bm.f_eps_radius(sp, eps)
 
 
 def _rational_polygon(rng):
