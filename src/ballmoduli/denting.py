@@ -4,7 +4,9 @@ of convexity.
 All searches are certified grid searches in dimensions 2 and 3: grids carry a
 computed covering radius, objectives and constraints are norm/linear-form
 compositions whose Lipschitz constants are recorded, and every returned
-Bracket is rigorous under those constants.
+Bracket is rigorous under those constants.  The inner minimum s of the d
+family is read on the exactly-feasible ring of a kernel, not on a grid
+(``_s_ends``).
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .bracket import GRID, Bracket
 from .config import Budget, resolve
 from .errors import BudgetError, DomainError
 from .gridutil import lowdisc_sphere, sharp_equiv_constants, sphere_grid
-from .spaces import (SpaceDescriptor, polar_space, _exact_polygon, _kernel_frames,
-                     _norm_array, _support_array, _unit_coords)
+from .spaces import (SpaceDescriptor, polar_space, _exact_polygon, _face_array,
+                     _kernel_frames, _norm_array, _support_array, _unit_coords)
 
 
 def _resolution(budget: Budget, default2: float, default3: float, dim: int) -> float:
@@ -192,7 +194,7 @@ def _all_pairs_min(space: SpaceDescriptor, pts: np.ndarray, taus, max_evals: int
     return best
 
 
-# -- kernel scans for the s-modulus ----------------------------------------
+# -- the s-modulus on the exactly-feasible ring -------------------------------
 
 
 # the exactly-feasible ring of a kernel in basis coefficients: the two
@@ -200,16 +202,9 @@ def _all_pairs_min(space: SpaceDescriptor, pts: np.ndarray, taus, max_evals: int
 _LINE_RING = np.array([[1.0], [-1.0]])
 _ANGLES = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
 _CIRCLE_RING = np.stack([np.cos(_ANGLES), np.sin(_ANGLES)], axis=-1)
-
-
-def _kernel_axis(space: SpaceDescriptor, t: float, res: float):
-    """(c, slack): the coefficient axis of ``_kernel_mins``' kernel grid and
-    the grid's slack C step sqrt(dim - 1)/2 (``_kernel_mins`` states both)."""
-    eq = sharp_equiv_constants(space)
-    R = (2.0 + t / 4.0) / eq.c * 1.05
-    n_c = int(math.ceil(2.0 * R / max(res / eq.C, 1e-9))) + 1
-    c = np.linspace(-R, R, n_c)
-    return c, eq.C * (c[1] - c[0]) * math.sqrt(space.dim - 1) / 2.0
+_MARGIN = 1e-12  # rounding margin of the lower ends, as ``beta._MARGIN``
+_FACE_MARGIN = 1e-9  # a face point counts as inside the ring below r - this
+_CHUNK_POINTS = 1 << 15  # ring and face points scanned at a time
 
 
 def _kernel_bases(F: np.ndarray):
@@ -223,101 +218,117 @@ def _kernel_bases(F: np.ndarray):
     return _kernel_frames(F), _CIRCLE_RING
 
 
-def _kernel_mins(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray,
-                 t: float, res: float, max_evals: int,
-                 r_tight: Optional[float] = None, ring_only: bool = False):
-    """Certified minima of ||x+y|| - 1 over y in ker f with ||y|| >= r, one per
-    row of xs and F (both (n, dim)), returned as (lower, upper) arrays.
+def _s_ends(space: SpaceDescriptor, xs: np.ndarray, F: np.ndarray, t: float,
+            max_evals: int, lift: Optional[float] = None,
+            first_pass: bool = False):
+    """Bounds on s(x, f, t) = inf{||x + y|| - 1 : y in ker f, ||y|| >= r},
+    r = t/4, one per row of xs and F (both (n, dim)), as (lower, upper)
+    arrays; upper is None when ``lift`` is None.
 
-    The lower minimum is certified for r = t/4.  Each kernel has a
-    Euclid-orthonormal basis of k = dim - 1 rows (f rotated by 90 degrees in
-    the plane, ``kernel_frame`` in 3-D), searched on the coefficient grid
-    [-R, R]^k of step <= res/C (C, c the sharp equivalence constants,
-    R = 1.05 (2 + t/4) / c).  The search is truncated at ||y|| <= 2 + t/4:
-    the value at the exactly-feasible shell ||y|| = t/4 is at most t/4,
-    while ||x+y|| - 1 >= ||y|| - 2 exceeds t/4 beyond that radius.  Every
-    truncated-region y lies within slack = C step sqrt(k)/2 of a grid point,
-    and both ||x+y|| and ||y|| are 1-Lipschitz in y, so the minimum over grid
-    points with t/4 - slack <= ||y|| <= 2 + t/4 + slack and over the ring of
-    exactly-feasible points ||y|| = t/4 (at +-basis in the plane, at 720
-    angles of the basis circle in 3-D), minus slack, is a lower bound.
+    g(y) = ||x + y|| is convex on ker f, and g(y) >= |f(x)|/||f||* = c
+    there, with equality exactly on A = {sign(f(x)) c u - x : u in F_f},
+    F_f the face of the unit sphere that f norms (``spaces._face_array``):
+    so s >= c - 1 always, and s = c - 1 when a point of A has ||a|| >= r.
+    If a point a of A has ||a|| < r, the least value over ||y|| >= r lies
+    on the ring ||y|| = r: the segment from a to a feasible y crosses the
+    ring at some z, and g(z) <= max(g(a), g(y)) = g(y).  The test reads
+    every face point: A is the convex hull of their images, and the ring
+    term applies where each image has ||a|| < r - 1e-9 (the margin absorbs
+    the rounding of the face points); in that tie zone and outside it, the
+    lower end is c - 1 alone.  (One image inside would do, since an A that
+    also leaves the ring meets it, and the ring minimum is then c - 1; the
+    far face points are read for the upper end, where in 3-D the ring
+    samples may miss that crossing.)  The ring is sampled at r u/||u|| for the directions u of
+    ``_kernel_bases``: the two points of the kernel line in the plane,
+    which is the whole ring, and 720 equally spaced unit vectors u_k of the
+    basis circle in 3-D.  By the monotonicity lemma for normed planes
+    (``gridutil.sphere_grid``) a ring point between two consecutive samples
+    is within their distance of the first, and
+    ||a/||a|| - b/||b|||| <= 2 ||a - b||/||a|| with ||a - b|| <= C |a - b|_2,
+    so every ring point lies within gap = 4 r C sin(pi/720) / min_k ||u_k||
+    of a sample, and g is 1-Lipschitz.  Hence
 
-    The upper minimum, computed only when ``r_tight`` is given (else None),
-    is the least value at feasible points of the tightened problem
-    ||y|| >= r_tight truncated at 2 + t/4: grid points with
-    r_tight <= ||y|| <= 2 + t/4 and the ring at radius min(r_tight, 2 + t/4).
+        lower = max(c - 1, min over the samples of ||x + z|| - 1 - gap)
+                - 1e-12
 
-    With ``ring_only`` the grid is empty (the grid minima start at inf), so
-    no grid point is evaluated, and in 3-D only every 8th ring angle is:
-    each minimum is then taken over a subset of the points the full one
-    ranges over (same slack), so it is at least the full minimum, which is
-    what ``_d_point_bounds`` prunes with.
+    with the ring term only where A lies inside the ring, gap = 0 in the
+    plane, and a margin of 1e-12 for the rounding of the points (each
+    kernel point lies within an ulp of ker f) and norms.
 
-    Rows are scanned in chunks of at most min(256 n_c, max_evals) grid
-    points (256 functionals in the plane), or ring points with
-    ``ring_only``, to bound peak memory; a ``BudgetError`` is raised only
-    when one row's full grid exceeds max_evals, also with ``ring_only``.
-    Each chunk is scanned in its own call, so its (chunk, grid, dim)
-    arrays are freed before the next chunk is built; holding them across
-    the loop would put two full chunks in memory at once.
+    The upper end, for ``lift`` = h >= 0, bounds s(x, f', t) for every
+    unit f' with ||f' - f||* <= h.  For y0 in ker f with
+    (1 - h) ||y0|| >= r, y = y0 - f'(y0) e, e a unit norming vector of f',
+    lies in ker f' with ||y - y0|| <= h ||y0|| and ||y|| >= r, so
+    s(x, f', t) <= ||x + y0|| - 1 + h ||y0||.  The upper end is the least
+    such value over the ring sampled at radius rho = r/(1 - h) and over
+    the points of A with (1 - h) ||a|| >= r; inf where h >= 1.  With h = 0
+    it is the least value at computed feasible points of s itself, taking
+    no margin, as a grid search's upper end.
+
+    With ``first_pass`` only every 8th ring direction is read and no face
+    point: each end is then a maximum of c - 1 and a minimum over a subset
+    of the full pass's points (the lower one with a gap no larger), so it
+    is at least the full pass's end, which is what ``_d_point_bounds``
+    prunes with.
+
+    Rows are scanned in chunks of at most min(2^15, max_evals) ring and
+    face points.  A ``BudgetError`` is raised when one row's ring samples
+    plus its face points exceed max_evals (the full pass only).
     """
-    r0, hi = t / 4.0, 2.0 + t / 4.0
-    c, slack = _kernel_axis(space, t, res)
-    n_c = len(c)
+    r = t / 4.0
     bases, ring = _kernel_bases(F)
-    if space.dim == 2:
-        grid = c[:, None]
+    fn = _norm_array(polar_space(space), F)
+    fx = np.sum(xs * F, axis=1) / fn
+    if first_pass:
+        ring, faces = ring[::8], np.empty((len(F), 0, space.dim))
     else:
-        grid = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
-        ring = ring[::8 if ring_only else 1]
-    n_grid, grid = len(grid), grid[:0] if ring_only else grid
-
-    def scan(B: np.ndarray, x: np.ndarray):
-        Y = grid @ B
-        w = _norm_array(space, Y)
-        vals = _norm_array(space, x + Y) - 1.0
-        U = ring @ B
-        w_U = _norm_array(space, U)
+        faces = _face_array(space, F)
+        if len(F) and len(ring) + faces.shape[1] > max_evals:
+            raise BudgetError(f"the ring scan of {len(ring) + faces.shape[1]} points "
+                              f"per row exceeds the budget")
+    rho = None if lift is None or lift >= 1.0 else r / (1.0 - lift)
+    chord = (0.0 if space.dim == 2 else
+             4.0 * r * sharp_equiv_constants(space).C * math.sin(math.pi / len(_ANGLES)))
+    chunk = max(1, min(_CHUNK_POINTS, max_evals) // (len(ring) + faces.shape[1]))
+    lower = np.empty(len(F))
+    upper = None if lift is None else np.full(len(F), np.inf)
+    for i in range(0, len(F), chunk):
+        rows = slice(i, i + chunk)
+        x = xs[rows, None, :]
+        U = ring @ bases[rows]
+        w = _norm_array(space, U)
 
         def ring_min(radius: float) -> np.ndarray:
-            Yb = (radius / w_U)[..., None] * U
-            return np.min(_norm_array(space, x + Yb), axis=1) - 1.0
+            return np.min(_norm_array(space, x + (radius / w)[..., None] * U), axis=1) - 1.0
 
-        relax = np.where((w >= r0 - slack) & (w <= hi + slack), vals, np.inf)
-        lo = np.minimum(np.min(relax, axis=1, initial=np.inf), ring_min(r0)) - slack
-        if r_tight is None:
-            return lo, None
-        tight = np.where((w >= r_tight) & (w <= hi), vals, np.inf)
-        return lo, np.minimum(np.min(tight, axis=1, initial=np.inf),
-                              ring_min(min(r_tight, hi)))
-
-    chunk = max(1, min(256 * n_c, max_evals) // (len(ring) if ring_only else n_grid))
-    lower = np.empty(len(F))
-    upper = np.empty(len(F)) if r_tight is not None else None
-    if len(F) and n_grid > max_evals:
-        raise BudgetError(f"kernel scan of {n_grid} evaluations exceeds the budget")
-    for i in range(0, len(F), chunk):
-        lo, up = scan(bases[i:i + chunk], xs[i:i + chunk, None, :])
-        lower[i:i + chunk] = lo
-        if upper is not None:
-            upper[i:i + chunk] = up
+        at_r = ring_min(r)
+        floor = at_r - chord / np.min(w, axis=1)
+        A = fx[rows, None, None] * faces[rows] - x
+        na = _norm_array(space, A)
+        floor = np.where(np.all(na < r - _FACE_MARGIN, axis=1), floor, -np.inf)
+        lower[rows] = np.maximum(np.abs(fx[rows]) - 1.0, floor) - _MARGIN
+        if rho is None:
+            continue
+        feasible = np.where(na * (1.0 - lift) >= r,
+                            _norm_array(space, x + A) - 1.0 + lift * na, np.inf)
+        upper[rows] = np.minimum((at_r if rho == r else ring_min(rho)) + lift * rho,
+                                 np.min(feasible, axis=1, initial=np.inf))
     return lower, upper
 
 
 def s_point(space: SpaceDescriptor, x, f, t: float,
             budget: Optional[Budget] = None) -> Bracket:
     """Certified bracket for s(x, f, t) = inf{||x+y||-1 : y in ker f, ||y|| >= t/4}
-    (see ``_kernel_mins`` for the certificate)."""
+    from the exactly-feasible ring of ker f (``_s_ends`` has the
+    certificate); exact up to rounding in the plane."""
     if not (0.0 < t < 2.0):
         raise DomainError(f"s modulus needs 0 < t < 2, got {t}")
     budget = resolve(budget)
     xa = _unit_coords(space, x, "primal", "x")
     fa = _unit_coords(space, f, "dual", "f")
-    res = _resolution(budget, 1e-3, 0.03, space.dim)
-    lo, up = _kernel_mins(space, xa[None, :], fa[None, :], t, res,
-                          budget.max_evals, r_tight=t / 4.0)
+    lo, up = _s_ends(space, xa[None, :], fa[None, :], t, budget.max_evals, lift=0.0)
     return Bracket(lower=float(lo[0]), upper=float(up[0]), method=GRID,
-                   resolution=res, lipschitz=sharp_equiv_constants(space).C)
+                   resolution=0.0, lipschitz=1.0)
 
 
 # -- sup over the dual sphere: d(x, t) --------------------------------------
@@ -331,68 +342,68 @@ def d_point(space: SpaceDescriptor, x, t: float,
         raise DomainError(f"d modulus needs 0 < t < 2, got {t}")
     budget = resolve(budget)
     xa = _unit_coords(space, x, "primal", "x")
-    grid, res_f, res_i = _d_point_grid(space, budget)
-    lower, upper = _d_point_bounds(space, xa[None, :], grid.points, t, res_i,
-                                   budget.max_evals, covering=grid.covering)
+    grid, res_f = _d_point_grid(space, budget)
+    h = grid.covering
+    lower, upper = _d_point_bounds(space, xa[None, :], grid.points, t,
+                                   budget.max_evals, covering=h)
+    # the upper end's lift per unit of h is rho = (t/4)/(1 - h) (``_s_ends``);
+    # past h = 1 the upper end is the cap t/4 and takes no lift
     return Bracket(lower=float(lower[0]), upper=float(upper[0]), method=GRID,
-                   resolution=res_f, lipschitz=2.0 + t / 4.0)
+                   resolution=res_f, lipschitz=t / 4.0 / (1.0 - h) if h < 1.0 else 0.0)
 
 
 def _d_point_grid(space: SpaceDescriptor, budget: Budget):
-    """(dual grid, its resolution, kernel resolution) of ``d_point``'s scan,
-    which ``d_star_zero``'s lower end runs without the upper pass."""
+    """(dual grid, its resolution) of ``d_point``'s scan, which
+    ``d_star_zero``'s lower end runs without the upper pass."""
     res_f = _resolution(budget, 4e-3, 0.25, space.dim)
-    res_i = _resolution(budget, 1.5e-3, 0.06, space.dim)
-    return sphere_grid(polar_space(space), res_f), res_f, res_i
+    return sphere_grid(polar_space(space), res_f), res_f
 
 
 def _d_point_bounds(space: SpaceDescriptor, X: np.ndarray, F: np.ndarray,
-                    t: float, res_i: float, max_evals: int,
-                    covering: Optional[float] = None):
+                    t: float, max_evals: int, covering: Optional[float] = None):
     """Bounds on d(x, t) for each row x of X from the unit functionals in the
     rows of F plus the norming functional of x, as (lower, upper) arrays.
 
     Lower bound: d(x, t) >= s(x, f, t) for every unit f, and d(x, t) >= 0
     since s(x, f, t) >= 0 at a norming f.  The upper bound, computed only
-    when F is a dual-sphere grid of covering radius ``covering`` (else
-    None): for every unit f there is a grid neighbour f0 with
-    ||f - f0||* <= h; projecting a minimizer y0 of the tightened problem
-    (shell radius t/4 + h R, truncation 2 + t/4) into ker f along a norming
-    vector of f moves it by at most h R with R = 2 + t/4 and keeps it
-    feasible, so s(x, f, t) <= tight-min(f0) + h R.
+    when F is a dual-sphere grid of covering radius h = ``covering`` (else
+    None): every unit f has a grid neighbour f0 with ||f - f0||* <= h, so
+    s(x, f, t) is at most f0's lifted upper end (``_s_ends`` with
+    lift h), and d(x, t) at most the largest of them.  Every upper end is
+    capped at t/4: a y in ker f with ||y|| = t/4 gives
+    s(x, f, t) <= ||x|| + ||y|| - 1 = t/4, so d(x, t) <= t/4; the cap is
+    the whole upper end where h >= 1.
 
-    Both ends are maxima over rows (x, f) of ``_kernel_mins`` minima, and
-    most rows cannot raise the maximum, so the kernel grid is scanned only
-    where one can.  A first pass takes every row's minima on the
-    exactly-feasible ring alone (``ring_only``): a minimum over a subset,
-    so at least the row's full minimum.  For each x the full scan then
-    runs on the incumbents, the norming row and the rows with the largest
-    first-pass lower and upper minima, and after them on the rows whose
-    first-pass lower or upper minimum exceeds the incumbents' best full
-    one.  Any other row has full minima at most its first-pass ones, hence
-    at most the incumbents' best, so the maxima over the rows scanned in
-    full are the maxima over all rows, bit for bit.  With one row per x
-    (F empty) every row is an incumbent and the first pass is skipped.
+    Both ends are maxima over rows (x, f) of ``_s_ends``, and most rows
+    cannot raise the maximum, so the full ring and the face points are
+    read only where one can.  A first pass reads every 8th ring direction
+    of every row and no face point (``first_pass``): its ends are at least
+    the row's full ones.  For each x the full scan then runs on the
+    incumbents, the norming row and the rows with the largest first-pass
+    lower and upper ends, and after them on the rows whose first-pass lower
+    or upper end exceeds the incumbents' best full one.  Any other row has
+    full ends at most its first-pass ones, hence at most the incumbents'
+    best, so the maxima over the rows scanned in full are the maxima over
+    all rows, bit for bit.  With one row per x (F empty) every row is an
+    incumbent and the first pass is skipped.
     """
     n, m = len(X), len(F) + 1
     norming = _support_array(space, X / _norm_array(space, X)[:, None])
     rows = np.concatenate([np.broadcast_to(F, (n,) + F.shape),
                            norming[:, None, :]], axis=1).reshape(n * m, X.shape[1])
     xs = np.repeat(X, m, axis=0)
-    R_t = 2.0 + t / 4.0
-    r_tight = None if covering is None else t / 4.0 + covering * R_t
 
-    def scan(idx, ring_only: bool = False) -> np.ndarray:
-        """(lower, upper) minima of the rows idx, one row of the result
+    def scan(idx, first_pass: bool = False) -> np.ndarray:
+        """(lower, upper) ends of the rows idx, one row of the result
         each; the upper row repeats the lower one when there is no upper."""
-        lo, up = _kernel_mins(space, xs[idx], rows[idx], t, res_i, max_evals,
-                              r_tight=r_tight, ring_only=ring_only)
+        lo, up = _s_ends(space, xs[idx], rows[idx], t, max_evals,
+                         lift=covering, first_pass=first_pass)
         return np.stack([lo, lo if up is None else up])
 
     if m == 1:
         ends = scan(slice(None))
     else:
-        rough = scan(slice(None), ring_only=True).reshape(2, n, m)
+        rough = scan(slice(None), first_pass=True).reshape(2, n, m)
         base = np.arange(n)[:, None] * m
         # the norming rows and the first-pass leaders, as a sorted index set
         lead = np.zeros(n * m, dtype=bool)
@@ -407,111 +418,17 @@ def _d_point_bounds(space: SpaceDescriptor, X: np.ndarray, F: np.ndarray,
         ends[:, rest] = scan(rest)
     lower, upper = ends.reshape(2, n, m).max(axis=2)
     lower = np.maximum(lower, 0.0)
-    if r_tight is None:
+    if covering is None:
         return lower, None
-    return lower, upper + covering * R_t
+    return lower, np.minimum(upper, t / 4.0)
 
 
 def _d_lower_cheap(space: SpaceDescriptor, X: np.ndarray, t: float,
-                   res_i: float, max_evals: int, n_extra: int = 32) -> np.ndarray:
+                   max_evals: int, n_extra: int = 32) -> np.ndarray:
     """Rigorous lower bounds on d(x, t), one per row x of X, from the norming
     functional plus a small sample of dual directions."""
     extra = lowdisc_sphere(polar_space(space), n_extra)
-    return _d_point_bounds(space, X, extra, t, res_i, max_evals)[0]
-
-
-# rounding margin of the ring floors, as ``beta._MARGIN`` of the beta scans
-_FLOOR_MARGIN = 1e-12
-_FIRST_CHUNK = 16  # least number of base points per full scan
-
-
-def _ring_floors(space: SpaceDescriptor, X: np.ndarray, F: np.ndarray,
-                 t: float, res: float) -> np.ndarray:
-    """A lower bound LB(x) on ``_d_lower_cheap(space, x, t, res, max_evals,
-    n_extra=0)`` for each row x of X, whose norming functional is the
-    matching row f of F, from the ring of ker f at radius
-    r' = max(t/4 - slack, 0) alone (slack the kernel grid's, ``_kernel_axis``).
-
-    That value is max(0, m(x) - 1 - slack), with m(x) the least ||x + y||
-    over the kernel grid points with ||y|| >= t/4 - slack (truncated above)
-    and the exactly-feasible ring ||y|| = t/4 (``_kernel_mins``): points y
-    of ker f with ||y|| >= r'.  For y in ker f, ||x + y|| >= f(x)/||f||*, so
-    g(y) = ||x + y|| has g(0) <= g(y) + eta with
-    eta = max(0, ||x|| - f(x)/||f||*).  g is convex, so for ||y|| >= r' the
-    point z = lam y, lam = r'/||y|| in [0, 1], of the ring ||z|| = r' has
-    g(z) <= lam g(y) + (1 - lam) g(0) <= g(y) + (1 - lam) eta, that is
-    g(y) >= g(z) - eta.  In the plane the ring is the two points
-    +-r' v/||v|| of the kernel line, so m(x) >= min over them of g - eta.
-    In 3-D the ring is a circle, sampled as in ``_kernel_mins`` at
-    z_k = r' u_k/||u_k|| for n = len(_ANGLES) equally spaced unit vectors
-    u_k of the basis circle.  By the monotonicity lemma for normed planes
-    (``gridutil.sphere_grid``) a ring point between two consecutive
-    samples is within their distance of the first, and
-    ||a/||a|| - b/||b|||| <= 2 ||a - b||/||a|| with ||a - b|| <= C |a - b|_2,
-    so every ring point is within gap = 4 r' C sin(pi/n) / min_k ||u_k||
-    of a sample, and m(x) >= min over the samples of g - eta - gap.  Hence
-
-        LB(x) = max(0, min over the ring samples of ||x + z||
-                       - 1 - eta - slack - gap - margin),
-
-    with gap = 0 in the plane, and a margin of 1e-12 for the rounding of
-    the points (each kernel point lies within an ulp of ker f) and norms.
-
-    Where r' <= slack, min over the ring of ||x + z|| <= ||x|| + r' puts
-    every LB(x) within the rounding of ||x|| - 1 of 0, so the ring is not
-    read and every floor is 0, a floor of every (clamped) value.
-    """
-    _, slack = _kernel_axis(space, t, res)
-    r = max(t / 4.0 - slack, 0.0)
-    if r <= slack:
-        return np.zeros(len(X))
-    eta = np.maximum(_norm_array(space, X) - np.sum(F * X, axis=1)
-                     / _norm_array(polar_space(space), F), 0.0)
-    ring_min = np.empty(len(X))
-    C = sharp_equiv_constants(space).C
-    for i in range(0, len(X), 256):  # at most 256 x 720 ring points at a time
-        bases, ring = _kernel_bases(F[i:i + 256])
-        U = ring @ bases
-        w = _norm_array(space, U)
-        Z = (r / w)[..., None] * U
-        ring_min[i:i + 256] = np.min(_norm_array(space, X[i:i + 256, None, :] + Z), axis=1)
-        if space.dim > 2:  # gap, from the chord 2 sin(pi/n) of the basis circle
-            ring_min[i:i + 256] -= (4.0 * r * C * math.sin(math.pi / len(_ANGLES))
-                                    / np.min(w, axis=1))
-    return np.maximum(ring_min - 1.0 - eta - slack - _FLOOR_MARGIN, 0.0)
-
-
-def _least_d_lower(space: SpaceDescriptor, X: np.ndarray, t: float,
-                   res_i: float, max_evals: int) -> tuple[float, int]:
-    """(least value, first index of it) of ``_d_lower_cheap(space, X, t,
-    res_i, max_evals, n_extra=0)``, scanning in full only the rows that
-    can hold it.
-
-    Each row's value is at least its ring floor LB(x) (``_ring_floors``).
-    The rows are scanned in full in increasing (LB, index) order, each
-    chunk 16 rows or a quarter of the rows scanned so far, whichever is
-    more, so that past 64 rows at most a quarter more rows than needed
-    are read.  The scan stops at the first row whose (LB, index) exceeds
-    the (least value, index) found so far: every row after it has
-    (value, index) >= (LB, index) above that pair too, so the least value
-    and its first index are those of the full scan.  Each row's value is
-    its ``_kernel_mins`` lower minimum clamped at 0, as in
-    ``_d_point_bounds``, whatever rows share its call.
-    """
-    F = _support_array(space, X / _norm_array(space, X)[:, None])
-    floors = _ring_floors(space, X, F, t, res_i)
-    order = np.argsort(floors, kind="stable")
-    best, i_best = math.inf, -1
-    done, size = 0, _FIRST_CHUNK
-    while done < len(X) and (floors[order[done]], order[done]) < (best, i_best):
-        idx = order[done:done + size]
-        lo, _ = _kernel_mins(space, X[idx], F[idx], t, res_i, max_evals)
-        vals = np.maximum(lo, 0.0)
-        k = np.lexsort((idx, vals))[0]
-        best, i_best = min((best, i_best), (float(vals[k]), int(idx[k])))
-        done += size
-        size = max(_FIRST_CHUNK, done // 4)
-    return best, i_best
+    return _d_point_bounds(space, X, extra, t, max_evals)[0]
 
 
 def d_global(space: SpaceDescriptor, t: float,
@@ -519,18 +436,19 @@ def d_global(space: SpaceDescriptor, t: float,
     """Certified bracket for d(t) = inf over unit x of d(x, t).
 
     d(., t) is 1-Lipschitz on the sphere (the defining infimum shifts by at
-    most ||x - x'||), so a covering grid certifies the lower bound; any
-    single x certifies the upper bound through its full d_point bracket,
-    taken at the grid point of least lower bound (``_least_d_lower``).
+    most ||x - x'||), so a covering grid certifies the lower bound, from
+    each grid point's norming-row lower end (``_d_lower_cheap`` without
+    extra directions); any single x certifies the upper bound through its
+    full d_point bracket, taken at the first grid point of least lower end.
     """
     if not (0.0 < t < 2.0):
         raise DomainError(f"d modulus needs 0 < t < 2, got {t}")
     budget = resolve(budget)
     res_x = _resolution(budget, 2e-3, 0.12, space.dim)
-    res_i = _resolution(budget, 1.5e-3, 0.05, space.dim)
     grid = sphere_grid(space, res_x)
-    low, i_best = _least_d_lower(space, grid.points, t, res_i, budget.max_evals)
-    lower = max(0.0, low - grid.covering)
+    lows = _d_lower_cheap(space, grid.points, t, budget.max_evals, n_extra=0)
+    i_best = int(np.argmin(lows))
+    lower = max(0.0, float(lows[i_best]) - grid.covering)
     upper = d_point(space, grid.points[i_best], t, budget).upper
     return Bracket(lower=lower, upper=upper, method=GRID,
                    resolution=res_x, lipschitz=1.0)
@@ -569,22 +487,22 @@ def d_star_zero(space: SpaceDescriptor, f, t: float,
     at radius <= t(1 - 1e-6).  Upper bound: d*(., t) is 1-Lipschitz in g, so
     a covering of the closed neighbourhood certifies the sup; the cover
     point nearest f is always in it.  The d* upper scan at each cover point
-    runs at fixed resolutions (dual grid 0.02, kernel 5e-3 in 2-D; 0.3 and
-    0.08 in 3-D), whatever ``budget.resolution`` says; only the cover and
-    the lower bound follow the budget.
+    reads a dual grid of fixed resolution (0.02 in 2-D, 0.3 in 3-D),
+    whatever ``budget.resolution`` says; only the cover and the lower bound
+    follow the budget.  The upper end is capped at t/4, as every d*(g, t)
+    is (``_d_point_bounds``).
     """
     if not (0.0 < t < 2.0):
         raise DomainError(f"d*0 needs 0 < t < 2, got {t}")
     budget = resolve(budget)
     W = polar_space(space)
     fa = _unit_coords(space, f, "dual", "f")
-    grid, _, res_k = _d_point_grid(W, budget)
-    lower = float(_d_point_bounds(W, fa[None, :], grid.points, t, res_k,
+    grid, _ = _d_point_grid(W, budget)
+    lower = float(_d_point_bounds(W, fa[None, :], grid.points, t,
                                   budget.max_evals)[0][0])
-    res_i = _resolution(budget, 2e-3, 0.05, W.dim)
     inner = lowdisc_sphere(W, 64)
     near = inner[_norm_array(W, inner - fa) <= t * (1.0 - 1e-6)][:8]
-    lower = float(np.max(_d_lower_cheap(W, near, t, res_i, budget.max_evals),
+    lower = float(np.max(_d_lower_cheap(W, near, t, budget.max_evals),
                          initial=lower))
     upper, res_g = _d_star_zero_upper(W, fa, t, budget)
     return Bracket(lower=lower, upper=upper, method=GRID,
@@ -595,15 +513,16 @@ def _d_star_zero_upper(W: SpaceDescriptor, fa: np.ndarray, t: float,
                        budget: Budget) -> tuple[float, float]:
     """(upper end of d*0(f, t), cover resolution) for a unit f of W =
     polar(space): the max of the d* upper scan over the cover points within
-    t + h of f, plus h (``d_star_zero`` has the certificate)."""
+    t + h of f, plus h, capped at t/4 (``d_star_zero`` has the
+    certificate)."""
     res_g = _resolution(budget, 0.05, 0.2, W.dim)
     cover = sphere_grid(W, res_g)
     h_g = cover.covering
     sel = cover.points[_norm_array(W, cover.points - fa) <= t + h_g]
     dual = sphere_grid(polar_space(W), 0.02 if W.dim == 2 else 0.3)
-    _, up = _d_point_bounds(W, sel, dual.points, t, 5e-3 if W.dim == 2 else 0.08,
-                            budget.max_evals, covering=dual.covering)
-    return float(np.max(up)) + h_g, res_g
+    _, up = _d_point_bounds(W, sel, dual.points, t, budget.max_evals,
+                            covering=dual.covering)
+    return min(float(np.max(up)) + h_g, t / 4.0), res_g
 
 
 def d_star_zero_global(space: SpaceDescriptor, t: float,
@@ -620,7 +539,6 @@ def d_star_zero_global(space: SpaceDescriptor, t: float,
     budget = resolve(budget)
     W = polar_space(space)
     res_f = _resolution(budget, 0.1, 0.25, W.dim)
-    res_i = _resolution(budget, 2e-3, 0.05, W.dim)
     grid = sphere_grid(W, res_f)
     h_f = grid.covering
     sample = lowdisc_sphere(W, 48)
@@ -628,7 +546,7 @@ def d_star_zero_global(space: SpaceDescriptor, t: float,
     for fa in grid.points:
         near = sample[_norm_array(W, sample - fa) <= max(t - h_f, 0.0) * (1.0 - 1e-9)]
         cand = np.vstack([fa[None, :], near[:4]])
-        lows = _d_lower_cheap(W, cand, t, res_i, budget.max_evals)
+        lows = _d_lower_cheap(W, cand, t, budget.max_evals)
         lower = min(lower, float(np.max(lows)))
         if lower <= 0.0:
             break

@@ -88,44 +88,48 @@ def slice_diameter(space: SpaceDescriptor, slc: Slice,
     vals = grid.points @ v
     # |v(g) - v(g0)| <= ||g - g0|| since v is a unit functional
     relax = vals >= alpha - h
-    lower = _max_pair(W, grid.points, vals >= alpha)
-    upper = (_max_pair(W, grid.points, relax) + 2.0 * h) if np.any(relax) else 0.0
+    lower, upper = _max_pair(W, grid.points, np.stack([vals >= alpha, relax]))
+    upper = (upper + 2.0 * h) if np.any(relax) else 0.0
     return Bracket(lower=lower, upper=upper, method=GRID,
                    resolution=res, lipschitz=1.0)
 
 
 def _max_pair(space: SpaceDescriptor, grid_points: np.ndarray,
-              mask: np.ndarray) -> float:
-    """Largest ||g - g'|| over the grid points selected by ``mask``.
+              masks: np.ndarray) -> list[float]:
+    """Largest ||g - g'|| over the grid points selected by each row of the
+    (r, n) boolean array ``masks``, one value per row (0 below two points).
 
     In the plane ``grid_points`` is a ``sphere_grid`` in angular order and
-    the mask is one cyclic run of it (see the module docstring), or one run
+    each mask is one cyclic run of it (see the module docstring), or one run
     split by rounding on a flat face at the threshold; the scan covers the
-    shortest cyclic run holding every masked point.  Elsewhere each
-    unordered pair is compared once (||a - b|| = ||b - a|| in floating
-    point), in blocks of ``_PAIR_CHUNK`` rows against the rows from theirs on.
+    shortest cyclic run holding every masked point, found for every row by
+    one ``_covering_runs`` call.  Elsewhere each unordered pair is compared
+    once (||a - b|| = ||b - a|| in floating point), in blocks of
+    ``_PAIR_CHUNK`` rows against the rows from theirs on.
     """
-    m = int(np.count_nonzero(mask))
-    if m < 2:
-        return 0.0
+    counts = np.count_nonzero(masks, axis=1)
     if space.dim == 2:
-        return _max_pair_arc(space, grid_points, mask)
-    pts = grid_points[mask]
-    best = 0.0
-    for i in range(0, m, _PAIR_CHUNK):
-        diffs = pts[i:i + _PAIR_CHUNK, None, :] - pts[None, i:, :]
-        best = max(best, float(np.max(_norm_array(space, diffs))))
-    return best
+        runs = zip(*_covering_runs(masks))
+        return [_max_pair_arc(space, grid_points, int(start), int(m)) if k >= 2 else 0.0
+                for k, (start, m) in zip(counts, runs)]
+    out = []
+    for k, mask in zip(counts, masks):
+        pts, best = grid_points[mask], 0.0
+        for i in range(0, k if k >= 2 else 0, _PAIR_CHUNK):
+            diffs = pts[i:i + _PAIR_CHUNK, None, :] - pts[None, i:, :]
+            best = max(best, float(np.max(_norm_array(space, diffs))))
+        out.append(best)
+    return out
 
 
 def _max_pair_arc(space: SpaceDescriptor, grid_points: np.ndarray,
-                  mask: np.ndarray) -> float:
+                  start: int, m: int) -> float:
+    """``_max_pair`` on the cyclic run of m >= 2 grid points from ``start``."""
     n = len(grid_points)
     # in exact arithmetic the covering run is the masked run itself; where
     # rounding splits it (a flat face at the threshold) the points between
     # its pieces lie on the segment joining masked points, so by convexity
     # of the norm they change no pair maximum
-    start, m = (int(v[0]) for v in _covering_runs(mask[None, :]))
     run = grid_points[(start + np.arange(m)) % n]
     # a position's partners: the end windows {0, 1, m-2, m-1}, and the
     # positions one index either side of floor(n/2) and ceil(n/2) ahead of

@@ -452,6 +452,46 @@ def _support_array(space: SpaceDescriptor, a: np.ndarray) -> np.ndarray:
     raise DescriptorError(space.kind)
 
 
+def _face_array(space: SpaceDescriptor, F: np.ndarray) -> np.ndarray:
+    """Points of the face {u : ||u|| = 1, f(u) = ||f||*} of the unit sphere
+    that each row f of an (n, dim) array of nonzero functionals norms, as an
+    (n, k, dim) array, unvalidated; a row with fewer than k points repeats
+    its first one.  An lp or weighted-lp row gets its one norming point,
+    ``_support_array`` of f/||f||* in the polar space.  A polyhedral row gets
+    the ball's vertices v with f(v) >= max_v f(v) - 1e-9: every vertex of
+    the face, and possibly vertices within 1e-9 of it, so the convex hull of
+    the points holds the face.  An lp-sum row gets the product of its
+    blocks' faces: with f_i the blocks of f, the face is the set of points
+    whose block i is (||f_i||*/||f||*)^(q - 1) times a point of the face of
+    f_i (0 where f_i = 0), by equality in Hoelder's inequality."""
+    if space.kind in ("lp", "weighted-lp"):
+        W = polar_space(space)
+        return _support_array(W, F / _norm_array(W, F)[:, None])[:, None, :]
+    if space.kind == "polyhedral":
+        V = np.asarray(space.vertices)
+        vals = F @ V.T
+        on = vals >= vals.max(axis=1, keepdims=True) - 1e-9
+        k = int(on.sum(axis=1).max(initial=1))
+        pick = np.argsort(~on, axis=1, kind="stable")[:, :k]  # face vertices first
+        pick = np.where(np.take_along_axis(on, pick, axis=1), pick, pick[:, :1])
+        return V[pick]
+    if space.kind == "lp-sum":
+        W = polar_space(space)
+        total = _norm_array(W, F)
+        out = np.zeros((len(F), 1, space.dim))
+        for c, wc, s in zip(space.components, W.components, space.block_slices):
+            nb = _norm_array(wc, F[:, s])
+            live = nb > 1e-15 * total
+            face = _face_array(c, np.where(live[:, None], F[:, s], 1.0))
+            face *= np.where(live, (nb / total) ** (space.q - 1.0), 0.0)[:, None, None]
+            # every point so far, extended by every point of this block's face
+            k0, k1 = out.shape[1], face.shape[1]
+            out = np.repeat(out, k1, axis=1)
+            out[:, :, s] = np.tile(face, (1, k0, 1))
+        return out
+    raise DescriptorError(space.kind)
+
+
 def duality_preimage(space: SpaceDescriptor, f) -> Point:
     """A unit vector x with f(x) = 1 for a unit functional f.
 

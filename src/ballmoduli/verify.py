@@ -198,11 +198,12 @@ LEMMA_NAMES = (
 def suite_lemmas(names, seed, budget, instances_per_lemma: int = 210):
     """Randomized slice-geometry inequality battery across the presets."""
     checks: list[Check] = []
+    spaces = {name: preset(name) for name in names}  # facets enumerated once
     for li, lemma in enumerate(LEMMA_NAMES):
         rng = np.random.default_rng(seed * 1000 + li)
         for i in range(instances_per_lemma):
             name = names[i % len(names)]
-            space = preset(name)
+            space = spaces[name]
             bud = _slice_budget(budget, space.dim)
             checks.append(_lemma_instance(lemma, name, space, rng, bud, i))
     return checks, {"spaces": names, "instances_per_lemma": instances_per_lemma}
@@ -638,9 +639,11 @@ def run_oracle_battery(budget: Optional[Budget] = None) -> dict:
     oracle bracket, plus the exact rational value where available."""
     records = []
     n_overlap = 0
+    names = {item["space"] for item in oracle.BATTERY}
+    spaces = {name: preset(name) for name in names}  # facets enumerated once
     for item in oracle.BATTERY:
         kind, args = item["kind"], item["args"]
-        space = preset(item["space"])
+        space = spaces[item["space"]]
         res, engine, exact_fn = _BATTERY_KINDS[kind]
         eng_budget = budget
         if kind == "delta" and space.dim == 3:

@@ -9,7 +9,7 @@ from ballmoduli import (Budget, BudgetError, DomainError, d_global, d_point, d_s
                         s_point, s_star, weighted_lp_space)
 from ballmoduli import denting
 from ballmoduli.config import resolve
-from ballmoduli.gridutil import lowdisc_sphere, sharp_equiv_constants, sphere_grid
+from ballmoduli.gridutil import lowdisc_sphere, sphere_grid
 from ballmoduli.spaces import _norm_array, _support_array
 
 S_PIN = math.sqrt(17.0) / 4.0 - 1.0  # inf over the kernel line in the plane
@@ -77,7 +77,7 @@ class TestSPoint:
             s_point(preset("l2-2"), (1.0, 0.0), (2.0, 0.0), 1.0)
 
     def test_inverted_kernel_minima_raise(self, monkeypatch):
-        monkeypatch.setattr(denting, "_kernel_mins",
+        monkeypatch.setattr(denting, "_s_ends",
                             lambda *a, **k: (np.array([0.5]), np.array([0.1])))
         with pytest.raises(ValueError, match="exceeds upper"):
             s_point(preset("l2-2"), (1.0, 0.0), (1.0, 0.0), 1.0)
@@ -116,29 +116,27 @@ class TestBatchedBounds:
         space = preset(name)
         X = sphere_grid(space, 0.5).points[:5]
         dual = sphere_grid(polar_space(space), 2 * res)
-        lo, up = denting._d_point_bounds(space, X, dual.points, 0.7, res,
-                                         10 ** 9, covering=dual.covering)
-        cheap = denting._d_lower_cheap(space, X, 0.7, res, 10 ** 9, n_extra=8)
+        lo, up = denting._d_point_bounds(space, X, dual.points, 0.7, 10 ** 9,
+                                         covering=dual.covering)
+        cheap = denting._d_lower_cheap(space, X, 0.7, 10 ** 9, n_extra=8)
         for i, x in enumerate(X):
             lo1, up1 = denting._d_point_bounds(space, X[i:i + 1], dual.points,
-                                               0.7, res, 10 ** 9,
-                                               covering=dual.covering)
+                                               0.7, 10 ** 9, covering=dual.covering)
             assert (lo1[0], up1[0]) == (lo[i], up[i])
-            assert denting._d_lower_cheap(space, x[None, :], 0.7, res, 10 ** 9,
+            assert denting._d_lower_cheap(space, x[None, :], 0.7, 10 ** 9,
                                           n_extra=8)[0] == cheap[i]
         assert np.all(lo <= up) and np.all(cheap <= up)
-        assert denting._d_point_bounds(space, X, dual.points, 0.7, res,
-                                       10 ** 9)[1] is None
+        assert denting._d_point_bounds(space, X, dual.points, 0.7, 10 ** 9)[1] is None
 
     @pytest.mark.parametrize("name", ["lp:1.5-2d", "l2-3"])
     def test_no_rows_give_empty_bounds(self, name):
         space = preset(name)
         X = np.empty((0, space.dim))
         dual = sphere_grid(polar_space(space), 0.6)
-        lo, up = denting._d_point_bounds(space, X, dual.points, 0.7, 0.3,
-                                         10 ** 9, covering=dual.covering)
+        lo, up = denting._d_point_bounds(space, X, dual.points, 0.7, 10 ** 9,
+                                         covering=dual.covering)
         assert lo.shape == up.shape == (0,)
-        assert denting._d_lower_cheap(space, X, 0.7, 0.3, 10 ** 9).shape == (0,)
+        assert denting._d_lower_cheap(space, X, 0.7, 10 ** 9).shape == (0,)
 
 
 def _seeded_polygon(seed: int):
@@ -158,36 +156,38 @@ def _rational_polygon(seed: int):
     return polyhedral_space(np.vstack([half, -half]).tolist())
 
 
-def _unpruned_d_global(space, t, budget=None):
-    """``d_global``'s ends with the unpruned lower pass, and that pass's
-    values: ``_d_lower_cheap`` at every grid point, the least value and the
-    first grid point that has it."""
+def _norming_rows(space, X):
+    return _support_array(space, X / _norm_array(space, X)[:, None])
+
+
+def _reference_d_global(space, t, budget=None):
+    """``d_global``'s ends from the norming row of every grid point, read
+    by ``_s_ends`` in one call: the least lower end clamped at 0, and the
+    first grid point that has it; with those values."""
     budget = resolve(budget)
-    res_x = denting._resolution(budget, 2e-3, 0.12, space.dim)
-    res_i = denting._resolution(budget, 1.5e-3, 0.05, space.dim)
-    grid = sphere_grid(space, res_x)
-    lows = denting._d_lower_cheap(space, grid.points, t, res_i, budget.max_evals,
-                                  n_extra=0)
+    grid = sphere_grid(space, denting._resolution(budget, 2e-3, 0.12, space.dim))
+    X = grid.points
+    lo, _ = denting._s_ends(space, X, _norming_rows(space, X), t, budget.max_evals)
+    lows = np.maximum(lo, 0.0)
     i = int(np.argmin(lows))
     return (max(0.0, float(lows[i]) - grid.covering),
-            d_point(space, grid.points[i], t, budget).upper), lows
+            d_point(space, X[i], t, budget).upper), lows
 
 
-def _unpruned_bounds(space, X, F, t, res, max_evals, covering=None):
-    """``_d_point_bounds`` without pruning: one ``_kernel_mins`` over every
-    row (x, f) and (x, norming functional of x), maxima per x."""
+def _reference_bounds(space, X, F, t, max_evals, covering=None):
+    """``_d_point_bounds`` without pruning: one ``_s_ends`` over every
+    row (x, f) and (x, norming functional of x), maxima per x, the lower
+    end clamped at 0 and the upper one capped at t/4."""
     n, m = len(X), len(F) + 1
-    norming = _support_array(space, X / _norm_array(space, X)[:, None])
     rows = np.concatenate([np.broadcast_to(F, (n,) + F.shape),
-                           norming[:, None, :]], axis=1).reshape(n * m, space.dim)
-    R_t = 2.0 + t / 4.0
-    r_tight = None if covering is None else t / 4.0 + covering * R_t
-    lo, up = denting._kernel_mins(space, np.repeat(X, m, axis=0), rows, t, res,
-                                  max_evals, r_tight=r_tight)
+                           _norming_rows(space, X)[:, None, :]],
+                          axis=1).reshape(n * m, space.dim)
+    lo, up = denting._s_ends(space, np.repeat(X, m, axis=0), rows, t, max_evals,
+                             lift=covering)
     lower = np.maximum(lo.reshape(n, m).max(axis=1), 0.0)
     if up is None:
         return lower, None
-    return lower, up.reshape(n, m).max(axis=1) + covering * R_t
+    return lower, np.minimum(up.reshape(n, m).max(axis=1), t / 4.0)
 
 
 PRUNE_SPACES = {
@@ -210,8 +210,8 @@ def _prune_case(name):
 
 
 class TestPrunedBounds:
-    """The pruned ``_d_point_bounds`` equals the row maxima of an unpruned
-    ``_kernel_mins`` over all rows, bit for bit."""
+    """The pruned ``_d_point_bounds`` equals the row maxima of one unpruned
+    ``_s_ends`` over all rows, bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(PRUNE_SPACES))
     # at t = 1.8 rows other than the incumbents raise the max
@@ -223,9 +223,9 @@ class TestPrunedBounds:
                  (np.empty((0, space.dim)), None)]
         for F, covering in cases:
             for pts in (X, X[:0]):
-                got = denting._d_point_bounds(space, pts, F, t, res, 10 ** 9,
+                got = denting._d_point_bounds(space, pts, F, t, 10 ** 9,
                                               covering=covering)
-                want = _unpruned_bounds(space, pts, F, t, res, 10 ** 9, covering)
+                want = _reference_bounds(space, pts, F, t, 10 ** 9, covering)
                 assert np.array_equal(got[0], want[0])
                 if covering is None:
                     assert got[1] is None and want[1] is None
@@ -235,52 +235,53 @@ class TestPrunedBounds:
     @pytest.mark.parametrize("name", ["l1-2d", "polygon", "l2-3", "l1-3d"])
     def test_ring_pass_bounds_the_full_minima(self, name):
         # the first pass reads a subset of each row's points, so neither
-        # of its minima falls below the full scan's
+        # of its ends falls below the full pass's
         space, res, X, dual = _prune_case(name)
         F = np.vstack([dual.points, _support_array(space, X)])
         xs = np.repeat(X, len(F), axis=0)
         rows = np.tile(F, (len(X), 1))
         for t in (0.3, 1.8):
-            r_tight = t / 4.0 + dual.covering * (2.0 + t / 4.0)
-            full = denting._kernel_mins(space, xs, rows, t, res, 10 ** 9,
-                                        r_tight=r_tight)
-            ring = denting._kernel_mins(space, xs, rows, t, res, 10 ** 9,
-                                        r_tight=r_tight, ring_only=True)
-            assert np.all(ring[0] >= full[0]) and np.all(ring[1] >= full[1])
+            full = denting._s_ends(space, xs, rows, t, 10 ** 9, lift=dual.covering)
+            first = denting._s_ends(space, xs, rows, t, 10 ** 9, lift=dual.covering,
+                                    first_pass=True)
+            assert np.all(first[0] >= full[0]) and np.all(first[1] >= full[1])
 
     @pytest.mark.parametrize("name", ["l1-2d", "l2-3"])
     def test_rows_after_the_incumbents_are_scanned(self, name, monkeypatch):
-        # at t = 1.8 some rows beat the incumbents' best full value, so the
+        # at these t some rows beat the incumbents' best full value, so the
         # pruning's second stage runs on a non-empty set of rows
         space, res, X, dual = _prune_case(name)
-        sizes, kernel_mins = [], denting._kernel_mins
+        t = {"l1-2d": 1.8, "l2-3": 1.95}[name]
+        sizes, s_ends = [], denting._s_ends
 
         def spy(space, xs, F, *args, **kw):
             sizes.append(len(F))
-            return kernel_mins(space, xs, F, *args, **kw)
-        monkeypatch.setattr(denting, "_kernel_mins", spy)
-        denting._d_point_bounds(space, X, dual.points, 1.8, res, 10 ** 9,
+            return s_ends(space, xs, F, *args, **kw)
+        monkeypatch.setattr(denting, "_s_ends", spy)
+        denting._d_point_bounds(space, X, dual.points, t, 10 ** 9,
                                 covering=dual.covering)
         assert len(sizes) == 3 and sizes[2] > 0
 
     def test_budget_error_at_the_unpruned_threshold(self):
-        # a row's kernel grid has n_c points in the plane; max_evals below
-        # that refuses the scan, at it the scan runs one row per chunk
-        space, t, res = preset("lp:1.5-2d"), 0.7, 2e-2
-        eq = sharp_equiv_constants(space)
-        R = (2.0 + t / 4.0) / eq.c * 1.05
-        n_c = int(math.ceil(2.0 * R / (res / eq.C))) + 1
-        X = sphere_grid(space, 0.5).points[:3]
-        dual = sphere_grid(polar_space(space), 0.1)
-        full = denting._d_point_bounds(space, X, dual.points, t, res, 10 ** 9,
-                                       covering=dual.covering)
-        at = denting._d_point_bounds(space, X, dual.points, t, res, n_c,
-                                     covering=dual.covering)
-        assert np.array_equal(at[0], full[0]) and np.array_equal(at[1], full[1])
-        _unpruned_bounds(space, X, dual.points, t, res, n_c, dual.covering)
-        for bounds in (denting._d_point_bounds, _unpruned_bounds):
-            with pytest.raises(BudgetError):
-                bounds(space, X, dual.points, t, res, n_c - 1, dual.covering)
+        # a row reads its ring (two points in the plane, 720 in 3-D) and its
+        # face points (one on a smooth ball, up to the two ends of an edge on
+        # l1-2d); max_evals below that refuses the scan, at it the scan runs
+        # one row per chunk
+        t = 0.7
+        for name, per_row in (("lp:1.5-2d", 2 + 1), ("l1-2d", 2 + 2),
+                              ("l2-3", 720 + 1)):
+            space = preset(name)
+            X = sphere_grid(space, 0.5).points[:3]
+            dual = sphere_grid(polar_space(space), 0.1 if space.dim == 2 else 0.6)
+            full = denting._d_point_bounds(space, X, dual.points, t, 10 ** 9,
+                                           covering=dual.covering)
+            at = denting._d_point_bounds(space, X, dual.points, t, per_row,
+                                         covering=dual.covering)
+            assert np.array_equal(at[0], full[0]) and np.array_equal(at[1], full[1])
+            _reference_bounds(space, X, dual.points, t, per_row, dual.covering)
+            for bounds in (denting._d_point_bounds, _reference_bounds):
+                with pytest.raises(BudgetError):
+                    bounds(space, X, dual.points, t, per_row - 1, dual.covering)
 
 
 class TestDGlobal:
@@ -323,9 +324,9 @@ D_GLOBAL_SPACES = {
 
 
 class TestPrunedDGlobal:
-    """``d_global`` and ``d_star_global``, whose lower pass scans only the
-    grid points their ring floors cannot rule out, equal the unpruned pass
-    at both ends, bit for bit."""
+    """``d_global`` and ``d_star_global`` equal the reference built from
+    ``_s_ends``' lower end at the norming row of every grid point, at both
+    ends, bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(D_GLOBAL_SPACES))
     @pytest.mark.parametrize("t", [0.2, 0.9, 1.6, 1.95])
@@ -334,51 +335,41 @@ class TestPrunedDGlobal:
         space = make()
         for budget in (Budget(resolution=res) for res in resolutions):
             got = d_global(space, t, budget)
-            assert (got.lower, got.upper) == _unpruned_d_global(space, t, budget)[0]
+            assert (got.lower, got.upper) == _reference_d_global(space, t, budget)[0]
             got = d_star_global(space, t, budget)
-            want = _unpruned_d_global(polar_space(space), t, budget)[0]
+            want = _reference_d_global(polar_space(space), t, budget)[0]
             assert (got.lower, got.upper) == want
 
     def test_every_value_clamped_takes_the_first_point(self):
-        # every lower-pass value is 0, so the first grid point is the argmin
-        space, budget = preset("lp:3-2d"), Budget(resolution=0.3)
+        # every edge of l1-2d is longer than t/4 in the norm, so at every
+        # grid point a minimiser of ||x + y|| on the norming kernel is
+        # feasible, every lower-pass value is 0, and the first grid point
+        # is the argmin
+        space, budget = preset("l1-2d"), Budget(resolution=0.3)
         for t in (0.2, 0.9, 1.6):
-            want, lows = _unpruned_d_global(space, t, budget)
+            want, lows = _reference_d_global(space, t, budget)
             assert np.all(lows == 0.0)
             got = d_global(space, t, budget)
             assert (got.lower, got.upper) == want
 
     def test_default_budget_positive_lower_end(self):
+        # the kernel-grid search gave [0.0011529604028817555,
+        # 0.012947020256213327]; the ring's bracket lies inside it
         space = preset("lp:1.5-2d")
         got = d_global(space, 0.5)
-        assert (got.lower, got.upper) == _unpruned_d_global(space, 0.5)[0]
-        assert got.lower == pytest.approx(0.0011529604028817555, abs=1e-12)
-        assert got.upper == pytest.approx(0.012947020256213327, abs=1e-12)
-
-    def test_scans_few_points(self, monkeypatch):
-        # on a smooth norm that is not Euclidean the floors rule out most
-        # of the grid; on l2-2 every point ties and nothing is ruled out
-        rows, kernel_mins = [], denting._kernel_mins
-        monkeypatch.setattr(denting, "_kernel_mins",
-                            lambda space, xs, *a, **k: rows.append(len(xs))
-                            or kernel_mins(space, xs, *a, **k))
-        budget = Budget(resolution=4e-2)
-        for name, t in (("lp:1.5-2d", 0.9), ("l2-2", 0.9)):
-            space = preset(name)
-            n = len(sphere_grid(space, 4e-2).points)
-            rows.clear()
-            denting._least_d_lower(space, sphere_grid(space, 4e-2).points, t, 4e-2,
-                                   budget.max_evals)
-            assert (sum(rows) < n // 4) == (name == "lp:1.5-2d")
+        assert (got.lower, got.upper) == _reference_d_global(space, 0.5)[0]
+        assert 0.0011529604028817555 <= got.lower <= got.upper <= 0.012947020256213327
 
     def test_budget_error_as_unpruned(self):
-        # one row's kernel grid over max_evals refuses the scan either way
-        space, t, res = preset("lp:1.5-2d"), 0.9, 4e-2
-        budget = Budget(resolution=res, max_evals=10)
+        # one row's ring and face points over max_evals refuse the scan
+        # either way: on lp:1.5-2d a row reads 2 ring points and 1 face point
+        space, t = preset("lp:1.5-2d"), 0.9
+        budget = Budget(resolution=4e-2, max_evals=2)
         with pytest.raises(BudgetError):
             d_global(space, t, budget)
         with pytest.raises(BudgetError):
-            _unpruned_d_global(space, t, budget)
+            _reference_d_global(space, t, budget)
+        d_global(space, t, Budget(resolution=4e-2, max_evals=3))
 
 
 class TestDualFamily:

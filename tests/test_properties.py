@@ -13,13 +13,12 @@ from ballmoduli import (Bracket, Budget, Slice, beta_point, beta_sup,
                         preset, s_point, slice_diameter, support_functional,
                         weighted_lp_space, witness_functional)
 from ballmoduli import exactpoly, oracle
-from ballmoduli.denting import (_convexity_grid, _d_lower_cheap, _flat_threshold,
-                                _ring_floors)
+from ballmoduli.denting import _convexity_grid, _flat_threshold
 from ballmoduli.exactpoly import Polygon, _min_of_max_affine
 from ballmoduli.gridutil import (_covering_runs, lowdisc_sphere, sharp_equiv_constants,
                                 sphere_grid)
 from ballmoduli.slices import _distance_to_hull, _max_pair
-from ballmoduli.spaces import _norm_array, _support_array
+from ballmoduli.spaces import _face_array, _kernel_frames, _norm_array, _support_array
 
 PRESETS = ["l2-2", "l2-3", "lp:1.5-2d", "lp:3-2d", "l1-2d", "linf-2d",
            "square-rot", "l2sum-4"]
@@ -175,6 +174,24 @@ class TestEngineContainsExact:
         for bracket, exact in checks:
             assert bracket.contains(float(exact), slack=1e-9), (bracket, exact)
 
+    @given(rational_polygons(), st.integers(0, 7), st.integers(0, 7),
+           st.integers(1, 15), st.integers(1, 31))
+    @settings(max_examples=40, deadline=None)
+    def test_s_at_a_vertex_contains_exact_values(self, poly, i, j, lam, k):
+        # x at a vertex of the ball, f at a vertex of the dual ball (its face
+        # is an edge, so the minimisers of ||x + y|| on ker f form a
+        # segment) and inside a dual edge (its face is a vertex)
+        space = polyhedral_space([_floats(v) for v in poly.vertices])
+        x = _floats(poly.vertices[i % len(poly.vertices)])
+        dual = poly.polar()
+        t = k / 16
+        for f in (dual.vertices[j % len(dual.vertices)],
+                  _edge_point(dual, j, Fraction(lam, 16))):
+            b = s_point(space, x, _floats(f), t)
+            exact = float(oracle.exact_s_point(space, x, _floats(f), t))
+            assert b.lower <= b.upper
+            assert b.contains(exact, slack=1e-9), (b, exact)
+
 
 @st.composite
 def planes(draw):
@@ -262,10 +279,11 @@ class TestPlanePairScans:
         v = np.array([math.cos(angle), math.sin(angle)])
         v /= dual_norm(W, v)
         vals = P @ v
-        # alpha - h <= 0 puts antipodal points in the relaxed arc
-        for thr in (alpha, alpha - h):
-            mask = vals >= thr
-            assert abs(_max_pair(W, P, mask) - _all_pairs_max(W, P[mask])) <= 1e-15
+        # alpha - h <= 0 puts antipodal points in the relaxed arc; both
+        # masks in one call, as slice_diameter scans them
+        masks = np.stack([vals >= alpha, vals >= alpha - h])
+        for got, mask in zip(_max_pair(W, P, masks), masks):
+            assert abs(got - _all_pairs_max(W, P[mask])) <= 1e-15
 
     # the split dual-square mask; a short run across the wrap-around of an
     # odd grid; a relaxed run longer than a half-turn
@@ -286,9 +304,10 @@ class TestPlanePairScans:
         v = np.array([math.cos(angle), math.sin(angle)])
         v /= dual_norm(W, v)
         vals = P @ v
-        for thr in (alpha, alpha - h):
-            mask = vals >= thr
-            assert _max_pair(W, P, mask) == _twelve_partner_max(W, P, mask)
+        masks = np.stack([vals >= alpha, vals >= alpha - h])
+        for got, mask in zip(_max_pair(W, P, masks), masks):
+            assert got == _twelve_partner_max(W, P, mask)
+            assert _max_pair(W, P, mask[None, :]) == [got]
 
     @given(planes(), st.integers(40, 500), st.floats(0.02, 2.0))
     @settings(max_examples=100, deadline=None)
@@ -440,40 +459,50 @@ class TestDentingSign:
         assert exactpoly.denting_nonpositive(poly, g, t) == self._interval_test(poly, g, t)
 
 
-@st.composite
-def floor_spaces(draw):
-    """An lp space in 2-D or 3-D, 1.05 <= p <= 8, a weighted lp plane, a
-    rational polygon, or a 3-D polytope preset."""
-    kind = draw(st.sampled_from(["lp", "weighted", "polygon", "polytope"]))
-    if kind == "lp":
-        return lp_space(draw(st.sampled_from([2, 3])), draw(st.floats(1.05, 8.0)))
-    if kind == "weighted":
-        weights = draw(st.lists(st.floats(0.25, 4.0), min_size=2, max_size=2))
-        return weighted_lp_space(draw(st.floats(1.05, 8.0)), weights)
-    if kind == "polygon":
-        poly = draw(rational_polygons())
-        return polyhedral_space([_floats(v) for v in poly.vertices])
-    return preset(draw(st.sampled_from(["l1-3d", "linf-3d"])))
+RING_SPACES = ["l2-2", "lp:1.5-2d", "square-rot", "l2-3", "lp:1.5-3d", "l1-3d",
+               "linf-3d", "lpsum:2:lp:2-1d+l1-2d"]
 
 
-class TestRingFloors:
-    @given(floor_spaces(), st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
-           st.sampled_from([0.25, 0.5, 1.0]))
-    # 3-D cases whose floors are positive at every point
-    @example(lp_space(3, 1.5), 1.9, 0.25)
-    @example(preset("l2-3"), 1.9, 0.5)
-    @settings(max_examples=60, deadline=None)
-    def test_floor_below_the_lower_pass_value(self, space, t, scale):
-        # d_global's lower pass prunes with these floors; each must lie
-        # below its grid point's full value (kernel resolution 4e-2 x scale
-        # in the plane, 0.15 x scale in 3-D)
-        res = (4e-2 if space.dim == 2 else 0.15) * scale
-        X = (sphere_grid(space, 0.3).points if space.dim == 2
-             else lowdisc_sphere(space, 24))
-        F = _support_array(space, X / _norm_array(space, X)[:, None])
-        floors = _ring_floors(space, X, F, t, res)
-        values = _d_lower_cheap(space, X, t, res, 10 ** 9, n_extra=0)
-        assert np.all(floors <= values)
+def _unit_rows(space, a):
+    return a / _norm_array(space, a)[..., None]
+
+
+class TestRingSoundness:
+    """s_point's lower end lies below ||x + y|| - 1 at every sampled feasible
+    y of ker f, and its bracket is never inverted."""
+
+    @pytest.mark.parametrize("name", RING_SPACES)
+    def test_lower_end_below_feasible_values(self, name):
+        space = preset(name)
+        W = polar_space(space)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        for case in range(24):
+            x = _unit_rows(space, rng.standard_normal(space.dim))
+            f = (_support_array(space, x) if case % 3 == 0
+                 else _unit_rows(W, rng.standard_normal(space.dim)))
+            t = float(rng.uniform(0.02, 1.98))
+            b = s_point(space, x, f, t)
+            assert b.lower <= b.upper
+            # kernel directions at random angles, on the ring ||y|| = t/4 and
+            # beyond it, and the minimisers of ||x + y|| on ker f (the face
+            # of f moved by -x, projected into the kernel) that are feasible
+            K = _kernel_frames(f[None, :])[0]
+            U = rng.standard_normal((400, space.dim - 1)) @ K
+            Y = (t / 4.0) * _unit_rows(space, U) * rng.uniform(1.0, 1.5, (len(U), 1))
+            Y[::2] = (t / 4.0) * _unit_rows(space, U[::2])
+            fx = float(f @ x) / float(_norm_array(W, f))
+            A = (fx * _face_array(space, f[None, :])[0] - x) @ K.T @ K
+            Y = np.vstack([Y, A[_norm_array(space, A) >= t / 4.0]])
+            values = _norm_array(space, x + Y) - 1.0
+            assert b.lower <= float(np.min(values)), (name, case, t)
+
+    def test_edge_face_crossing_the_ring_gives_an_exact_bracket(self):
+        # on l1-3d, f = (1, 1, 0) norms the edge [e1, e2]; its minimisers
+        # A = f(x) [e1, e2] - x start inside the ring (at e2) and leave it, so
+        # s = f(x) - 1 = -0.05 and the far face point e1 attains it, which
+        # the ring samples alone would miss
+        b = s_point(preset("l1-3d"), (0.05, 0.9, 0.05), (1.0, 1.0, 0.0), 1.0)
+        assert -0.05 - 2e-12 <= b.lower <= b.upper <= -0.05 + 1e-15
 
 
 def _euclidean_hull_distance(V):

@@ -43,7 +43,7 @@ class TestSliceDiameter:
         pts = sphere_grid(space, 0.1).points
         mask = np.zeros(len(pts), dtype=bool)
         mask[[-2, -1, 0, 1]] = True  # one run, across the wrap-around
-        assert _max_pair(space, pts, mask) == pytest.approx(
+        assert _max_pair(space, pts, mask[None, :])[0] == pytest.approx(
             float(np.linalg.norm(pts[-2] - pts[1])), abs=1e-15)
         # the dual square's left-face points sit at -1 and -0.9999999999999999
         # alternately, so the mask at that threshold forms 4 runs; the scan
@@ -57,7 +57,7 @@ class TestSliceDiameter:
         assert len(pts) == 40 and len(starts) == 4
         P = pts[mask]
         expected = float(np.max(_norm_array(W, P[:, None, :] - P[None, :, :])))
-        assert abs(_max_pair(W, pts, mask) - expected) <= 1e-15
+        assert abs(_max_pair(W, pts, mask[None, :])[0] - expected) <= 1e-15
 
     def test_short_run_evaluates_only_its_end_windows(self, monkeypatch):
         # a run shorter than a half-turn has no antipodal partner inside
@@ -74,7 +74,7 @@ class TestSliceDiameter:
         mask = pts @ np.array([0.6, 0.8]) >= 0.5
         m = int(np.count_nonzero(mask))
         assert 2 < m < len(pts) // 2 - 1
-        _max_pair(space, pts, mask)
+        _max_pair(space, pts, mask[None, :])
         assert calls == [(4 * m, 2)]
 
     def test_invalid_inputs(self):
@@ -98,7 +98,7 @@ class TestMaxPair3D:
         mask = pts[:, 0] + 0.5 * pts[:, 1] >= -0.2
         P = pts[mask]
         expected = float(np.max(_norm_array(W, P[:, None, :] - P[None, :, :])))
-        assert _max_pair(W, pts, mask) == expected
+        assert _max_pair(W, pts, mask[None, :]) == [expected]
 
 
 class TestFEpsRadius:

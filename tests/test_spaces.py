@@ -20,8 +20,8 @@ from ballmoduli import (BudgetError, DescriptorError, DimensionMismatchError, Do
                         witness_functional)
 from ballmoduli.gridutil import (_covering_runs, _icosphere, lowdisc_sphere,
                                 sharp_equiv_constants, sphere_grid)
-from ballmoduli.spaces import (_exact_polygon, _kernel_frames, _norm_array, _support_array,
-                               kernel_frame)
+from ballmoduli.spaces import (_exact_polygon, _face_array, _kernel_frames, _norm_array,
+                               _support_array, kernel_frame)
 
 
 def _plain_norm(space, a):
@@ -316,6 +316,46 @@ class TestDualityMaps:
         scale = np.array([np.linalg.norm(a) for a in F])
         want = np.linalg.svd((F / scale[:, None])[:, None, :])[2][:, 1:]
         assert np.array_equal(_kernel_frames(F), want)
+
+
+class TestFaceArray:
+    """``_face_array`` returns points of the unit sphere that f norms, and on
+    a polytope every vertex of that face."""
+
+    @pytest.mark.parametrize("name, f, want", [
+        ("l1-3d", (1.0, 0.3, -0.2), [(1, 0, 0)]),
+        ("l1-3d", (1.0, 1.0, 0.0), [(1, 0, 0), (0, 1, 0)]),
+        ("l1-3d", (-1.0, 1.0, 1.0), [(-1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        ("linf-3d", (1.0, 0.0, 0.0), [(1, s, u) for s in (-1, 1) for u in (-1, 1)]),
+        ("linf-3d", (0.5, 0.5, 0.0), [(1, 1, -1), (1, 1, 1)]),
+        ("square-rot", (0.2, 1.4), [(0.2, 1.4)]),
+        ("lpsum:2:lp:2-1d+l1-2d", (0.0, 1.0, 1.0), [(0, 1, 0), (0, 0, 1)]),
+    ])
+    def test_polytope_faces_are_their_vertex_sets(self, name, f, want):
+        space = preset(name)
+        f = np.asarray(f) / dual_norm(space, np.asarray(f))
+        got = _face_array(space, np.stack([f, f]))
+        # rows padded with their first point hold the same set
+        assert got.shape[0] == 2 and np.array_equal(got[0], got[1])
+        assert {tuple(p) for p in np.round(got[0], 12).tolist()} == {
+            tuple(float(c) for c in w) for w in want}
+
+    @pytest.mark.parametrize("name", ["l2-2", "lp:1.5-2d", "l2-3", "weighted:3:1,2",
+                                      "l1-3d", "linf-3d", "square-rot",
+                                      "lpsum:2:lp:2-1d+l1-2d",
+                                      "lpsum:3:l1-2d+lp:1.5-2d"])
+    def test_points_are_normed_by_f(self, name, rng):
+        space = (weighted_lp_space(3.0, (1.0, 2.0)) if name == "weighted:3:1,2"
+                 else preset(name))
+        F = rng.normal(size=(20, space.dim))
+        if space.kind == "lp-sum":
+            F[0, space.block_slices[0]] = 0.0  # a zero block
+        faces = _face_array(space, F)
+        assert faces.shape[0] == 20 and faces.shape[2] == space.dim
+        assert np.allclose(_norm_array(space, faces), 1.0, rtol=0.0, atol=1e-12)
+        fn = dual_norm(space, F)
+        assert np.allclose(np.einsum("nkd,nd->nk", faces, F), fn[:, None],
+                           rtol=0.0, atol=1e-9)
 
 
 class TestDescriptors:

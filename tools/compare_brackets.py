@@ -16,6 +16,10 @@ its method tag, every norm value and every functional coordinate:
 - primal and dual slice diameters, s and s* at norming and at generic
   pairs, beta and beta-sup at the default budget, and the oracle's
   brute-force d bracket, on the 2-D spaces;
+- s and s* at the default budget on l2-3, lp:1.5-3d, l1-3d and linf-3d,
+  at a norming and a generic pair and with f (for s*, x) along (1, 0, 0),
+  (1, 1, 0) and (1, 1, 1): on the polytopes these norm a facet, an edge
+  or a vertex of the ball, so the 3-D ring and each kind of face is read;
 - beta-global at t = 0.3 and 0.7, at resolution 4e-2 on lp:1.5, lp:3 and
   the weighted lp:3 plane, at 0.2 on l1-2d, square-rot, ``poly2d:6`` and
   ``poly2d:8`` (the first seeded rational polygons of 6 and 8 vertices
@@ -142,6 +146,7 @@ def _unit(bm, sp, v, dual=False):
 def calls(bm):
     yield from _d_family(bm)
     yield from _slice_s_beta(bm)
+    yield from _s_3d(bm)
     yield from _beta_scans(bm)
     yield from _pair_scans(bm)
     yield from _separating_balls(bm)
@@ -202,6 +207,22 @@ def _slice_s_beta(bm):
             yield f"beta_sup {name} {t}", lambda: bm.beta_sup(sp, f, t)
         yield f"oracle_d {name} 0.5", lambda: oracle.grid_bracket(
             "d", sp, 0.05, x=x, t=0.5)
+
+
+def _s_3d(bm):
+    for name in ("l2-3", "lp:1.5-3d", "l1-3d", "linf-3d"):
+        sp = _space(bm, name)
+        x, f = _unit(bm, sp, [1.0, 0.3, -0.2]), _unit(bm, sp, [0.4, -1.0, 0.5], dual=True)
+        g, y = bm.support_functional(sp, x).array, bm.duality_preimage(sp, f).array
+        # label -> ((x, f) of s, (f, x) of s*)
+        pairs = {"norming": ((x, g), (f, y)), "generic": ((x, f), (f, x))}
+        for label, v in (("axis", [1.0, 0.0, 0.0]), ("edge", [1.0, 1.0, 0.0]),
+                         ("diag", [1.0, 1.0, 1.0])):
+            pairs[label] = ((x, _unit(bm, sp, v, dual=True)), (f, _unit(bm, sp, v)))
+        for label, (s_args, star_args) in pairs.items():
+            for t in (0.5, 1.2):
+                yield f"s_point {name} {t} {label}", lambda: bm.s_point(sp, *s_args, t)
+                yield f"s_star {name} {t} {label}", lambda: bm.s_star(sp, *star_args, t)
 
 
 def _beta_scans(bm):
